@@ -23,7 +23,6 @@
 #include "bench_util.hpp"
 #include "armci/proc.hpp"
 #include "armci/runtime.hpp"
-#include "armci/trace.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "sim/frame_pool.hpp"
@@ -287,47 +286,6 @@ ThreadsPath measure_threads_path(std::int64_t total_ops) {
   return r;
 }
 
-/// Criticality-aware QoS before/after on the CHT path: the same
-/// contended mixed-class storm with the class-aware path off and on,
-/// returning the critical fetch-&-add p99 in simulated microseconds
-/// (deterministic run to run, unlike the wall-clock sections above).
-double measure_qos_critical_p99_us(bool qos) {
-  vtopo::sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
-  vtopo::armci::Runtime::Config cfg;
-  cfg.num_nodes = 16;
-  cfg.procs_per_node = 2;
-  cfg.topology = vtopo::core::TopologyKind::kMfcg;
-  // Slow CHT service makes the rank-0 queue (what QoS reorders) the
-  // bottleneck instead of the NIC wire.
-  cfg.armci.cht_service = vtopo::sim::us(5.0);
-  cfg.armci.qos.enabled = qos;
-  vtopo::armci::Runtime rt(eng, cfg);
-  rt.tracer().enable();
-  const auto off =
-      rt.memory().alloc_all(64 + 1024 * (rt.num_procs() + 1));
-  rt.spawn_all([off](vtopo::armci::Proc& p) -> vtopo::sim::Co<void> {
-    if (p.node() == 0) co_return;
-    if (p.id() % 4 == 0) {
-      for (int i = 0; i < 10; ++i) {
-        co_await p.fetch_add(vtopo::armci::GAddr{0, off}, 1);
-      }
-    } else {
-      const std::vector<std::uint8_t> buf(1024, 0x5a);
-      const vtopo::armci::PutSeg seg{buf, off + 64 + p.id() * 1024};
-      for (int i = 0; i < 25; ++i) {
-        co_await p.put_v(0, {&seg, 1});
-      }
-    }
-  });
-  rt.run_all();
-  vtopo::bench::Percentiles pct;
-  pct.add_all(rt.tracer()
-                  .series(vtopo::armci::class_latency_kind(
-                      vtopo::armci::Priority::kCritical))
-                  .samples());
-  return pct.p99();
-}
-
 double measure_fig7_wallclock_ms(bool quick) {
   vtopo::work::ClusterConfig cluster;
   cluster.num_nodes = quick ? 16 : 64;
@@ -373,8 +331,6 @@ int main(int argc, char** argv) {
       measure_sharded_path(path_ops, shards, shard_threads);
   const ThreadsPath tpath = measure_threads_path(path_ops);
   const double fig7_ms = measure_fig7_wallclock_ms(quick);
-  const double qos_p99_before = measure_qos_critical_p99_us(false);
-  const double qos_p99_after = measure_qos_critical_p99_us(true);
 
   std::printf("events_per_sec        %.3e\n", eps);
   std::printf("legacy_events_per_sec %.3e\n", legacy_eps);
@@ -400,8 +356,6 @@ int main(int argc, char** argv) {
   std::printf("request_reuse_frac    %.4f\n", path.request_reuse_frac);
   std::printf("frame_reuse_frac      %.4f\n", path.frame_reuse_frac);
   std::printf("fig7_wallclock_ms     %.1f\n", fig7_ms);
-  std::printf("qos_critical_p99_us   %.1f -> %.1f (storm, fifo -> qos)\n",
-              qos_p99_before, qos_p99_after);
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -419,14 +373,11 @@ int main(int argc, char** argv) {
                "  \"sharded_ops_per_sec\": %.1f,\n"
                "  \"sharded_shards\": %d,\n"
                "  \"request_reuse_frac\": %.4f,\n"
-               "  \"frame_reuse_frac\": %.4f,\n"
-               "  \"qos_critical_p99_us\": "
-               "{\"before\": %.1f, \"after\": %.1f}\n"
+               "  \"frame_reuse_frac\": %.4f\n"
                "}\n",
                eps, mps, fig7_ms, legacy_eps, eps / legacy_eps,
                path.ops_per_sec, spath.ops_per_sec, shards,
-               path.request_reuse_frac, path.frame_reuse_frac,
-               qos_p99_before, qos_p99_after);
+               path.request_reuse_frac, path.frame_reuse_frac);
   std::fclose(f);
   std::printf("# wrote %s\n", out_path.c_str());
 

@@ -2,9 +2,10 @@
 // (1k -> 64k on the legacy engine, to 1M+ on the sharded engine) each
 // issue K fetch-&-adds on one counter owned by rank 0, across the four
 // virtual topologies. Reports wall-clock, simulated time, protocol
-// counters, and peak RSS per point, plus the allocation-free
-// runtime-path throughput numbers and a shard sweep, into
-// BENCH_runtime.json.
+// counters, and peak RSS per point, plus a shard sweep, into
+// BENCH_runtime.json. Engine, network and runtime-path throughput
+// (msgs_per_sec, fetchadd_ops_per_sec, the pool reuse fractions) are
+// hotpath_bench's to record, critical-class latency qos_bench's.
 //
 // Unlike the figure benches this is a *flood* (no turn-taking barrier
 // between ranks): host-side work is O(N * K), which is what makes the
@@ -43,12 +44,9 @@
 #include "bench_util.hpp"
 #include "armci/proc.hpp"
 #include "armci/runtime.hpp"
-#include "armci/trace.hpp"
 #include "core/topology.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
-#include "sim/frame_pool.hpp"
-#include "sim/rng.hpp"
 #include "sim/sharded_engine.hpp"
 
 namespace {
@@ -129,108 +127,12 @@ Point run_point(vtopo::core::TopologyKind kind, std::int64_t procs,
   return pt;
 }
 
-/// Network::send throughput — the same loop hotpath_bench measures, so
-/// the number is directly comparable against BENCH_hotpath.json.
-double measure_msgs_per_sec(std::int64_t total_msgs) {
-  vtopo::sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
-  vtopo::net::Network net(eng, 256);
-  vtopo::sim::Rng rng(7);
-  const auto start = std::chrono::steady_clock::now();
-  for (std::int64_t i = 0; i < total_msgs; ++i) {
-    const auto s = static_cast<vtopo::core::NodeId>(rng.uniform(256));
-    const auto d = static_cast<vtopo::core::NodeId>(rng.uniform(256));
-    net.send(s, d, 1024, s);
-  }
-  return static_cast<double>(total_msgs) / seconds_since(start);
-}
-
-struct RuntimePath {
-  double ops_per_sec = 0;
-  std::uint64_t req_created = 0;
-  std::uint64_t req_reused = 0;
-  std::uint64_t frames_created = 0;
-  std::uint64_t frames_reused = 0;
-};
-
-/// Full-ARMCI-path fetch-&-add throughput on a fixed 16-node MFCG
-/// cluster, with the pool hit counters that show the path running
-/// allocation-free once warm.
-RuntimePath measure_runtime_path(std::int64_t total_ops) {
-  vtopo::sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
-  Runtime::Config cfg;
-  cfg.num_nodes = 16;
-  cfg.procs_per_node = 4;
-  cfg.topology = vtopo::core::TopologyKind::kMfcg;
-  Runtime rt(eng, cfg);
-  const auto off = rt.memory().alloc_all(8);
-  const int per_proc =
-      static_cast<int>(total_ops / rt.num_procs());
-  const std::uint64_t frames_created0 = vtopo::sim::FramePool::created();
-  const std::uint64_t frames_reused0 = vtopo::sim::FramePool::reused();
-  const auto start = std::chrono::steady_clock::now();
-  rt.spawn_all([off, per_proc](Proc& p) -> vtopo::sim::Co<void> {
-    for (int k = 0; k < per_proc; ++k) {
-      co_await p.fetch_add(GAddr{0, off}, 1);
-    }
-  });
-  rt.run_all();
-  RuntimePath r;
-  r.ops_per_sec = static_cast<double>(per_proc * rt.num_procs()) /
-                  seconds_since(start);
-  r.req_created = rt.request_pool().created();
-  r.req_reused = rt.request_pool().reused();
-  r.frames_created = vtopo::sim::FramePool::created() - frames_created0;
-  r.frames_reused = vtopo::sim::FramePool::reused() - frames_reused0;
-  return r;
-}
-
 void print_point(const Point& pt) {
   std::printf("%-7s %8lld %7lld %9lld %12.1f %12.3f %10llu %9.1f\n",
               pt.topology.c_str(), static_cast<long long>(pt.procs),
               static_cast<long long>(pt.nodes),
               static_cast<long long>(pt.ops), pt.wallclock_ms, pt.sim_ms,
               static_cast<unsigned long long>(pt.requests), pt.rss_mb);
-}
-
-/// Criticality-aware QoS before/after on the CHT path: a contended
-/// mixed-class storm (bulk puts + critical fetch-&-adds at rank 0) with
-/// the class-aware path off and on, returning the critical p99 in
-/// simulated microseconds (deterministic, unlike the wall-clock rows).
-double measure_qos_critical_p99_us(bool qos) {
-  vtopo::sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
-  Runtime::Config cfg;
-  cfg.num_nodes = 16;
-  cfg.procs_per_node = 2;
-  cfg.topology = vtopo::core::TopologyKind::kMfcg;
-  // Slow CHT service makes the rank-0 queue (what QoS reorders) the
-  // bottleneck instead of the NIC wire.
-  cfg.armci.cht_service = vtopo::sim::us(5.0);
-  cfg.armci.qos.enabled = qos;
-  Runtime rt(eng, cfg);
-  rt.tracer().enable();
-  const auto off =
-      rt.memory().alloc_all(64 + 1024 * (rt.num_procs() + 1));
-  rt.spawn_all([off](Proc& p) -> vtopo::sim::Co<void> {
-    if (p.node() == 0) co_return;
-    if (p.id() % 4 == 0) {
-      for (int i = 0; i < 10; ++i) {
-        co_await p.fetch_add(GAddr{0, off}, 1);
-      }
-    } else {
-      const std::vector<std::uint8_t> buf(1024, 0x5a);
-      const vtopo::armci::PutSeg seg{buf, off + 64 + p.id() * 1024};
-      for (int i = 0; i < 25; ++i) {
-        co_await p.put_v(0, {&seg, 1});
-      }
-    }
-  });
-  rt.run_all();
-  vtopo::bench::Percentiles pct;
-  pct.add_all(rt.tracer()
-                  .series(vtopo::armci::class_latency_kind(
-                      vtopo::armci::Priority::kCritical))
-                  .samples());
-  return pct.p99();
 }
 
 void print_shard_mem(const Point& pt) {
@@ -254,10 +156,6 @@ int main(int argc, char** argv) {
       args.get_int("--max-procs", quick ? 1024 : 65536);
   const int ops_per_proc =
       static_cast<int>(args.get_int("--ops", quick ? 2 : 8));
-  const std::int64_t msgs =
-      args.get_int("--msgs", quick ? 100'000 : 2'000'000);
-  const std::int64_t path_ops =
-      args.get_int("--path-ops", quick ? 6'400 : 64'000);
   const std::int64_t shard_procs =
       args.get_int("--shard-procs", quick ? 1024 : 65536);
   const std::int64_t big_procs =
@@ -280,21 +178,7 @@ int main(int argc, char** argv) {
             "(real wall-clock, <= 1024 processes)"
           : "hot-spot fetch-add flood, 1k -> 64k processes + sharded 1M");
 
-  const double mps = measure_msgs_per_sec(msgs);
-  const RuntimePath path = measure_runtime_path(path_ops);
-  const double qos_p99_before = measure_qos_critical_p99_us(false);
-  const double qos_p99_after = measure_qos_critical_p99_us(true);
   std::printf("host_cores            %u\n", host_cores);
-  std::printf("msgs_per_sec          %.3e\n", mps);
-  std::printf("fetchadd_ops_per_sec  %.3e\n", path.ops_per_sec);
-  std::printf("qos_critical_p99_us   %.1f -> %.1f (storm, fifo -> qos)\n",
-              qos_p99_before, qos_p99_after);
-  std::printf("request_pool          created=%llu reused=%llu\n",
-              static_cast<unsigned long long>(path.req_created),
-              static_cast<unsigned long long>(path.req_reused));
-  std::printf("frame_pool            created=%llu reused=%llu\n",
-              static_cast<unsigned long long>(path.frames_created),
-              static_cast<unsigned long long>(path.frames_reused));
   vtopo::bench::print_rule();
 
   // Sweep ascending so each point's peak-RSS reading is dominated by its
@@ -381,17 +265,9 @@ int main(int argc, char** argv) {
                "{\n"
                "  \"backend\": \"%s\",\n"
                "  \"host_cores\": %u,\n"
-               "  \"msgs_per_sec\": %.1f,\n"
-               "  \"fetchadd_ops_per_sec\": %.1f,\n"
-               "  \"request_pool\": {\"created\": %llu, \"reused\": %llu},\n"
-               "  \"frame_pool\": {\"created\": %llu, \"reused\": %llu},\n"
                "  \"fcg_skipped_above_procs\": %lld,\n"
                "  \"weak_scaling\": [\n",
-               backend_name.c_str(), host_cores, mps, path.ops_per_sec,
-               static_cast<unsigned long long>(path.req_created),
-               static_cast<unsigned long long>(path.req_reused),
-               static_cast<unsigned long long>(path.frames_created),
-               static_cast<unsigned long long>(path.frames_reused),
+               backend_name.c_str(), host_cores,
                static_cast<long long>(kFcgMaxProcs));
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& pt = points[i];
@@ -430,7 +306,7 @@ int main(int argc, char** argv) {
         "  \"threads_note\": \"sim_ms fields are REAL elapsed ms on the "
         "std::thread backend — host-dependent, not comparable to "
         "simulated numbers\",\n"
-        "  \"scale_ceiling\": null,\n");
+        "  \"scale_ceiling\": null\n");
   } else {
     std::fprintf(
         f,
@@ -442,15 +318,12 @@ int main(int argc, char** argv) {
         "  \"scale_ceiling\": {\"topology\": \"%s\", \"procs\": %lld, "
         "\"nodes\": %lld, \"ops\": %lld, \"shards\": %d, "
         "\"wallclock_ms\": %.3f, \"sim_ms\": %.3f, \"requests\": %llu, "
-        "\"peak_rss_mb\": %.1f, \"completed\": true},\n",
+        "\"peak_rss_mb\": %.1f, \"completed\": true}\n",
         big.topology.c_str(), static_cast<long long>(big.procs),
         static_cast<long long>(big.nodes), static_cast<long long>(big.ops),
         big.shards, big.wallclock_ms, big.sim_ms,
         static_cast<unsigned long long>(big.requests), big.rss_mb);
   }
-  std::fprintf(f, "  \"qos_critical_p99_us\": "
-               "{\"before\": %.1f, \"after\": %.1f}\n",
-               qos_p99_before, qos_p99_after);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("# wrote %s\n", out_path.c_str());

@@ -4,9 +4,7 @@
 #   1. Default-preset build + the full ctest suite (tier-1), then the
 #      same build and suite on a `git archive HEAD` export, so only
 #      committed files count.
-#   2. vtopo-lint over src/ and bench/ (tools/check_lint.sh): cached
-#      whole-tree run + SARIF artifact, then the cold-vs-cached timing
-#      gate (>= 5x, recorded in BENCH_lint.json).
+#   2. vtopo-lint over src/ and bench/ (tools/check_lint.sh).
 #   3. Figure 5/6/7 identity: the FNV-golden guard binary, plus a
 #      byte-diff of two independent runs of each figure driver — the
 #      pipelines must be deterministic at the output-byte level, not
@@ -67,13 +65,6 @@ rm -rf "$clean_dir"
 
 echo "== lint =="
 tools/check_lint.sh
-# Cold-vs-cached lint timing: the incremental cache must keep whole-tree
-# re-lint at least 5x faster than a cold analysis (the CI budget the
-# gate relies on). Records the numbers in BENCH_lint.json.
-./build/tools/vtopo_lint --root . --bench \
-  --cache build/lint_cache.txt \
-  --bench-out BENCH_lint.json \
-  --assert-speedup 5 src bench
 
 echo "== figure identity =="
 # The golden guard compares figs 5/6/7 canonical output against FNV

@@ -3,14 +3,9 @@
 # nonzero exit on any unannotated violation. Mirrors check_sanitize.sh:
 # configure the default preset, build only what is needed, run.
 #
-# The run goes through the whole-tree incremental cache
-# (build/lint_cache.txt) — an unchanged tree replays the stored
-# diagnostics instead of re-analyzing — and always drops a SARIF
-# artifact at build/lint.sarif for CI upload.
-#
-# Usage: tools/check_lint.sh [vtopo_lint args...]
+# Usage: tools/check_lint.sh [path...]
 #   tools/check_lint.sh            # lint src/ and bench/
-#   tools/check_lint.sh --json     # machine-readable output
+#   tools/check_lint.sh src/armci  # lint one subtree
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -18,7 +13,4 @@ cd "$(dirname "$0")/.."
 cmake --preset default
 cmake --build --preset default -j "$(nproc)" --target vtopo_lint
 
-./build/tools/vtopo_lint --root . \
-  --cache build/lint_cache.txt \
-  --sarif-out build/lint.sarif \
-  "$@"
+./build/tools/vtopo_lint --root . "$@"

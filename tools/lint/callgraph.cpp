@@ -53,26 +53,6 @@ const std::set<std::string>& CallGraph::callees(const std::string& name) const {
   return it == nodes_.end() ? kEmpty : it->second.callees;
 }
 
-std::set<std::string> CallGraph::propagate_callers_of(
-    const std::set<std::string>& seed) const {
-  std::set<std::string> closed = seed;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [name, node] : nodes_) {
-      if (closed.count(name) != 0) continue;
-      for (const auto& callee : node.callees) {
-        if (closed.count(callee) != 0) {
-          closed.insert(name);
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
-  return closed;
-}
-
 std::set<std::string> CallGraph::reachable_from(const std::string& name) const {
   std::set<std::string> seen;
   if (nodes_.count(name) == 0) return seen;

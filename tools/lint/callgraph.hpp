@@ -5,10 +5,9 @@
 // enough that this is precise in practice, and a false merge only makes
 // the flow rules more conservative, never less sound). Edges are found
 // by scanning each function body for `name (` call shapes against the
-// set of known function names. propagate() runs a fixpoint over the
-// graph so summaries (e.g. "transitively releases a credit lease",
-// "transitively acquires lock X") survive recursion and arbitrary call
-// depth.
+// set of known function names. reachable_from() walks the graph so L1's
+// "transitively acquires lock X" summaries survive recursion and
+// arbitrary call depth.
 #pragma once
 
 #include "lint/cfg.hpp"
@@ -43,13 +42,6 @@ class CallGraph {
   }
   [[nodiscard]] const std::set<std::string>& callees(
       const std::string& name) const;
-
-  /// Generic summary fixpoint: starting from `seed` (names with the
-  /// property intrinsically), repeatedly add any function that calls a
-  /// member of the set, until stable. Handles recursion (cycles just
-  /// stop growing). Returns the closed set.
-  [[nodiscard]] std::set<std::string> propagate_callers_of(
-      const std::set<std::string>& seed) const;
 
   /// Forward closure: everything reachable from `name` via call edges,
   /// including `name` itself. Empty set for unknown names.

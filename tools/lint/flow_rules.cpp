@@ -207,27 +207,6 @@ void FlowAnalysis::collect_names() {
   }
 }
 
-void FlowAnalysis::build_releasers() {
-  std::set<std::string> seed;
-  for (const auto& f : files_) {
-    const auto& t = *f.toks;
-    for (const auto& fn : *f.fns) {
-      // Lambda bodies count: a release inside a scheduled callback is
-      // this function arranging the release.
-      for (std::size_t i = fn.body_begin; i < fn.body_end && i < t.size();
-           ++i) {
-        if (t[i].kind != Token::kIdent || t[i].text != "release") continue;
-        if (resolve_receiver(t, i, credit_names_, pool_names_,
-                             arena_names_) == Res::kCredit) {
-          seed.insert(fn.name);
-          break;
-        }
-      }
-    }
-  }
-  releasers_ = graph_.propagate_callers_of(seed);
-}
-
 // ---------------------------------------------------------------------
 // R1: credit-lease pairing.
 // ---------------------------------------------------------------------
@@ -238,12 +217,6 @@ void FlowAnalysis::rule_r1(const FileRef& f, const FunctionInfo& fn,
   const Cfg& cfg = fn.cfg;
   if (cfg.nodes.empty() || cfg.exit < 0) return;
 
-  std::set<int> transfer_lines;
-  for (const int l : f.ann->line_transfers) {
-    transfer_lines.insert(l);
-    transfer_lines.insert(l + 1);
-  }
-
   struct Event {
     bool acquire = false;  ///< false: clears every held lease
     std::size_t tok = 0;
@@ -253,11 +226,7 @@ void FlowAnalysis::rule_r1(const FileRef& f, const FunctionInfo& fn,
   bool any_acquire = false;
   for (std::size_t ni = 0; ni < num; ++ni) {
     const CfgNode& nd = cfg.nodes[ni];
-    bool annotated_transfer = false;
     for (std::size_t i = nd.tok_begin; i < nd.tok_end && i < t.size(); ++i) {
-      if (!annotated_transfer && transfer_lines.count(t[i].line) != 0) {
-        annotated_transfer = true;
-      }
       if (in_lambda(fn, i) || t[i].kind != Token::kIdent) continue;
       const std::string_view id = t[i].text;
       if (id == "acquire") {
@@ -282,13 +251,7 @@ void FlowAnalysis::rule_r1(const FileRef& f, const FunctionInfo& fn,
       } else if (id == "hop_credit_taken" && i + 2 < t.size() &&
                  is(t[i + 1], "=") && is(t[i + 2], "true")) {
         events[ni].push_back({false, i});  // ownership moves to the request
-      } else if (i + 1 < t.size() && is(t[i + 1], "(") &&
-                 releasers_.count(std::string(id)) != 0) {
-        events[ni].push_back({false, i});  // call may transitively release
       }
-    }
-    if (annotated_transfer) {
-      events[ni].push_back({false, nd.tok_begin});
     }
   }
   if (!any_acquire) return;
@@ -372,10 +335,9 @@ void FlowAnalysis::rule_r1(const FileRef& f, const FunctionInfo& fn,
     }
     sink.report(
         "R1", t[id].line, t[id].col,
-        "CreditBank lease acquired here does not reach a release, a "
-        "releasing call, or an ownership transfer (hop_credit_taken / "
-        "transfer(credit-lease-pairing)) on every path to function exit "
-        "— leaked credits break the conservation invariant "
+        "CreditBank lease acquired here does not reach a release or the "
+        "hop_credit_taken ownership transfer on every path to function "
+        "exit — leaked credits break the conservation invariant "
         "VTOPO_VALIDATE enforces at runtime",
         std::move(trace));
   }
@@ -618,31 +580,20 @@ void FlowAnalysis::build_lock_summaries() {
       if (out.empty()) direct_locks_.erase(fn.name);
     }
   }
-  for (const auto& [name, locks] : direct_locks_) {
-    (void)locks;
-    std::set<std::string> closure;
+}
+
+const std::set<std::string>& FlowAnalysis::lock_closure(
+    const std::string& name) {
+  const auto [it, fresh] = lock_closure_.try_emplace(name);
+  if (fresh) {
     for (const auto& reach : graph_.reachable_from(name)) {
-      const auto it = direct_locks_.find(reach);
-      if (it != direct_locks_.end()) {
-        closure.insert(it->second.begin(), it->second.end());
+      const auto dit = direct_locks_.find(reach);
+      if (dit != direct_locks_.end()) {
+        it->second.insert(dit->second.begin(), dit->second.end());
       }
     }
-    lock_closure_[name] = std::move(closure);
   }
-  // Functions without direct locks can still reach locks via callees.
-  for (const auto& f : files_) {
-    for (const auto& fn : *f.fns) {
-      if (lock_closure_.count(fn.name) != 0) continue;
-      std::set<std::string> closure;
-      for (const auto& reach : graph_.reachable_from(fn.name)) {
-        const auto it = direct_locks_.find(reach);
-        if (it != direct_locks_.end()) {
-          closure.insert(it->second.begin(), it->second.end());
-        }
-      }
-      if (!closure.empty()) lock_closure_[fn.name] = std::move(closure);
-    }
-  }
+  return it->second;
 }
 
 void FlowAnalysis::rule_l1_scan(const FileRef& f, const FunctionInfo& fn) {
@@ -734,14 +685,11 @@ void FlowAnalysis::rule_l1_scan(const FileRef& f, const FunctionInfo& fn) {
     }
     // Interprocedural edges: calling into a function whose transitive
     // lock closure is non-empty while holding locks here.
-    if (!held.empty() && i + 1 < t.size() && is(t[i + 1], "(") &&
-        !is_guard_type(id)) {
-      const auto cit = lock_closure_.find(std::string(id));
-      if (cit != lock_closure_.end() && id != fn.name) {
-        for (const auto& callee_lock : cit->second) {
-          add_edges(callee_lock, t[i].line, t[i].col,
-                    "via call to '" + std::string(id) + "'");
-        }
+    if (!held.empty() && id != fn.name && i + 1 < t.size() &&
+        is(t[i + 1], "(") && !is_guard_type(id)) {
+      for (const auto& callee_lock : lock_closure(std::string(id))) {
+        add_edges(callee_lock, t[i].line, t[i].col,
+                  "via call to '" + std::string(id) + "'");
       }
     }
   }
@@ -842,7 +790,6 @@ void FlowAnalysis::run(std::vector<Diagnostic>& out) {
   for (const auto& f : files_) graph_.add_file(*f.toks, *f.fns);
   graph_.finalize();
   collect_names();
-  build_releasers();
   build_lock_summaries();
   for (const auto& f : files_) {
     Sink sink(f.path, *f.ann, out);

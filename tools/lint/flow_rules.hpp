@@ -2,13 +2,12 @@
 //
 //   R1 credit-lease-pairing — path-sensitive acquire/release matching.
 //       Every `bank.acquire(...)` on a CreditBank must reach, on every
-//       CFG path to function exit, either a release (directly, or via a
-//       call to a function that transitively releases — the call graph
-//       supplies that summary), or an explicit ownership transfer
-//       (`hop_credit_taken = true`, or a
-//       `// vtopo-lint: transfer(credit-lease-pairing)` annotation).
-//       RequestPool / PayloadArena handles are RAII, so for those the
-//       rule only flags an acquire whose handle is dropped on the spot.
+//       CFG path to function exit, a direct `.release(...)` on a credit
+//       bank or the `hop_credit_taken = true` ownership transfer. A call
+//       into a helper is not a release: the helper may release a
+//       different lease. RequestPool / PayloadArena handles are RAII,
+//       so for those the rule only flags an acquire whose handle is
+//       dropped on the spot.
 //       Diagnostics carry a witness path: acquire site -> branches ->
 //       the early return (or end of function) that leaks.
 //
@@ -52,15 +51,6 @@ class FlowAnalysis {
   /// (suppression via each file's annotations, like the token rules).
   void run(std::vector<Diagnostic>& out);
 
-  // Introspection for tests.
-  [[nodiscard]] const CallGraph& graph() const { return graph_; }
-  [[nodiscard]] const std::set<std::string>& releasers() const {
-    return releasers_;
-  }
-  [[nodiscard]] const std::set<std::string>& credit_names() const {
-    return credit_names_;
-  }
-
  private:
   struct FileRef {
     std::string path;
@@ -70,8 +60,8 @@ class FlowAnalysis {
   };
 
   void collect_names();
-  void build_releasers();
   void build_lock_summaries();
+  const std::set<std::string>& lock_closure(const std::string& name);
   void rule_r1(const FileRef& f, const FunctionInfo& fn, Sink& sink) const;
   void rule_c2(const FileRef& f, const FunctionInfo& fn, Sink& sink) const;
   void rule_l1_scan(const FileRef& f, const FunctionInfo& fn);
@@ -83,11 +73,11 @@ class FlowAnalysis {
   std::set<std::string> pool_names_;    ///< RequestPool-typed variables
   std::set<std::string> arena_names_;   ///< PayloadArena-typed variables
   std::set<std::string> mutex_names_;   ///< std::mutex-family variables
-  std::set<std::string> releasers_;     ///< transitively-releasing functions
   /// Direct lock acquisitions per function (bare name) for the L1
   /// interprocedural summaries.
   std::map<std::string, std::set<std::string>> direct_locks_;
-  /// Transitive closure of direct_locks_ over the call graph.
+  /// Transitive closure of direct_locks_ over the call graph, filled on
+  /// demand: only calls made while holding a lock need one.
   std::map<std::string, std::set<std::string>> lock_closure_;
 
   struct LockEdge {

@@ -633,112 +633,4 @@ std::string format_text(const std::vector<Diagnostic>& diags) {
   return out;
 }
 
-namespace {
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-}
-}  // namespace
-
-std::string format_json(const std::vector<Diagnostic>& diags) {
-  std::string out = "[\n";
-  for (std::size_t i = 0; i < diags.size(); ++i) {
-    const auto& d = diags[i];
-    out += "  {\"rule\": \"" + d.rule + "\", \"file\": \"";
-    json_escape_into(out, d.file);
-    out += "\", \"line\": " + std::to_string(d.line) +
-           ", \"col\": " + std::to_string(d.col) + ", \"message\": \"";
-    json_escape_into(out, d.message);
-    out += "\", \"trace\": [";
-    for (std::size_t k = 0; k < d.trace.size(); ++k) {
-      const auto& step = d.trace[k];
-      if (k > 0) out += ", ";
-      out += "{\"file\": \"";
-      json_escape_into(out, step.file);
-      out += "\", \"line\": " + std::to_string(step.line) +
-             ", \"col\": " + std::to_string(step.col) + ", \"note\": \"";
-      json_escape_into(out, step.note);
-      out += "\"}";
-    }
-    out += "]}";
-    if (i + 1 < diags.size()) out += ",";
-    out += "\n";
-  }
-  out += "]\n";
-  return out;
-}
-
-std::string format_sarif(const std::vector<Diagnostic>& diags) {
-  // Minimal but valid SARIF 2.1.0: one run, one result per diagnostic,
-  // the CFG witness path as a codeFlow.
-  std::set<std::string> rule_ids;
-  for (const auto& d : diags) rule_ids.insert(d.rule);
-  std::string out;
-  out +=
-      "{\n"
-      "  \"$schema\": "
-      "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-      "  \"version\": \"2.1.0\",\n"
-      "  \"runs\": [{\n"
-      "    \"tool\": {\"driver\": {\"name\": \"vtopo-lint\", "
-      "\"rules\": [";
-  bool first = true;
-  for (const auto& id : rule_ids) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"id\": \"" + id + "\", \"name\": \"" +
-           std::string(annotation_name(id)) + "\"}";
-  }
-  out += "]}},\n    \"results\": [\n";
-  for (std::size_t i = 0; i < diags.size(); ++i) {
-    const auto& d = diags[i];
-    out += "      {\"ruleId\": \"" + d.rule +
-           "\", \"level\": \"error\", \"message\": {\"text\": \"";
-    json_escape_into(out, d.message);
-    out +=
-        "\"}, \"locations\": [{\"physicalLocation\": "
-        "{\"artifactLocation\": {\"uri\": \"";
-    json_escape_into(out, d.file);
-    out += "\"}, \"region\": {\"startLine\": " + std::to_string(d.line) +
-           ", \"startColumn\": " + std::to_string(d.col > 0 ? d.col : 1) +
-           "}}}]";
-    if (!d.trace.empty()) {
-      out += ", \"codeFlows\": [{\"threadFlows\": [{\"locations\": [";
-      for (std::size_t k = 0; k < d.trace.size(); ++k) {
-        const auto& step = d.trace[k];
-        if (k > 0) out += ", ";
-        out +=
-            "{\"location\": {\"physicalLocation\": {\"artifactLocation\": "
-            "{\"uri\": \"";
-        json_escape_into(out, step.file);
-        out += "\"}, \"region\": {\"startLine\": " +
-               std::to_string(step.line) +
-               ", \"startColumn\": " + std::to_string(step.col > 0 ? step.col : 1) +
-               "}}, \"message\": {\"text\": \"";
-        json_escape_into(out, step.note);
-        out += "\"}}}";
-      }
-      out += "]}]}]";
-    }
-    out += "}";
-    if (i + 1 < diags.size()) out += ",";
-    out += "\n";
-  }
-  out += "    ]\n  }]\n}\n";
-  return out;
-}
-
 }  // namespace vtopo::lint

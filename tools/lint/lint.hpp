@@ -42,10 +42,6 @@
 //   // vtopo-lint: allow(<rule>) -- <reason>
 // or once per file (anywhere in the file):
 //   // vtopo-lint: allow-file(<rule>) -- <reason>
-// R1 additionally understands an ownership-transfer annotation:
-//   // vtopo-lint: transfer(credit-lease-pairing) -- <reason>
-// which marks the covered line as a point where lease ownership moves
-// to another holder (so the acquire is not a leak past that point).
 #pragma once
 
 #include "lint/token.hpp"
@@ -117,13 +113,5 @@ class Linter {
 /// Render diagnostics as compiler-style text lines
 /// ("file:line:col: [Dn] …" plus indented trace lines).
 [[nodiscard]] std::string format_text(const std::vector<Diagnostic>& diags);
-
-/// Render diagnostics as a JSON array (machine-readable --json mode):
-/// rule/file/line/col/message plus a "trace" array of steps.
-[[nodiscard]] std::string format_json(const std::vector<Diagnostic>& diags);
-
-/// Render diagnostics as a SARIF 2.1.0 log (one run, one result per
-/// diagnostic, trace steps as codeFlows) for CI upload.
-[[nodiscard]] std::string format_sarif(const std::vector<Diagnostic>& diags);
 
 }  // namespace vtopo::lint

@@ -40,17 +40,14 @@ void parse_annotations(std::string_view comment, int line, int col0,
     const bool file_scope = comment.compare(p, 11, "allow-file(") == 0;
     const bool line_scope =
         !file_scope && comment.compare(p, 6, "allow(") == 0;
-    const bool transfer_scope =
-        !file_scope && !line_scope && comment.compare(p, 9, "transfer(") == 0;
-    if (!file_scope && !line_scope && !transfer_scope) {
+    if (!file_scope && !line_scope) {
       out.malformed.push_back(
           {line, col_at(pos),
-           "vtopo-lint directive is not allow(...), allow-file(...) or "
-           "transfer(...)"});
+           "vtopo-lint directive is not allow(...) or allow-file(...)"});
       pos = p;
       continue;
     }
-    p += file_scope ? 11 : (transfer_scope ? 9 : 6);
+    p += file_scope ? 11 : 6;
     const std::size_t close = comment.find(')', p);
     if (close == std::string_view::npos) {
       out.malformed.push_back(
@@ -66,15 +63,6 @@ void parse_annotations(std::string_view comment, int line, int col0,
       pos = close;
       continue;
     }
-    if (transfer_scope && rule != "credit-lease-pairing") {
-      out.malformed.push_back(
-          {line, col_at(p),
-           "vtopo-lint transfer('" + rule +
-               "') is not an ownership-transferring rule; transfer() "
-               "applies to credit-lease-pairing only"});
-      pos = close;
-      continue;
-    }
     // Require a justification: "-- <reason>".
     std::size_t after = close + 1;
     while (after < comment.size() && comment[after] == ' ') ++after;
@@ -85,17 +73,13 @@ void parse_annotations(std::string_view comment, int line, int col0,
       out.malformed.push_back(
           {line, col_at(pos),
            "vtopo-lint " +
-               std::string(file_scope
-                               ? "allow-file("
-                               : (transfer_scope ? "transfer(" : "allow(")) +
-               rule + ") needs a justification: \"-- <reason>\""});
+               std::string(file_scope ? "allow-file(" : "allow(") + rule +
+               ") needs a justification: \"-- <reason>\""});
       pos = close;
       continue;
     }
     if (file_scope) {
       out.file_allows.push_back(rule);
-    } else if (transfer_scope) {
-      out.line_transfers.push_back(line);
     } else {
       out.line_allows.emplace_back(line, rule);
     }

@@ -34,9 +34,6 @@ struct Annotations {
   std::vector<std::pair<int, std::string>> line_allows;
   /// allow-file(<rule>): rule names, whole-file scope.
   std::vector<std::string> file_allows;
-  /// transfer(credit-lease-pairing): ownership-transfer points for
-  /// rule R1 — (line). Covers its own line and the line that follows.
-  std::vector<int> line_transfers;
   /// Malformed annotations (A0 diagnostics).
   struct Malformed {
     int line = 0;

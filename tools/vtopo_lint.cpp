@@ -1,26 +1,14 @@
 // vtopo-lint CLI: walk source trees and report rule violations.
 //
-//   vtopo_lint [--json|--sarif] [--sarif-out FILE] [--root DIR]
-//              [--cache FILE] [--bench] [--bench-out FILE]
-//              [--assert-speedup X] [path...]
+//   vtopo_lint [--root DIR] [path...]
 //
 // Paths (default: "src bench") are files or directories, resolved
 // relative to --root (default: current directory). Directories are
 // walked recursively for .hpp/.h/.cpp/.cc files in sorted order, so
 // output is deterministic.
 //
-// --cache FILE enables the whole-tree incremental cache: when every
-// file's (size, mtime | hash) key matches the stored run, the cached
-// diagnostics are replayed without analyzing anything; otherwise a full
-// run rewrites the cache. --bench times a cold analysis against a cached
-// replay in-process and prints both; --bench-out writes the numbers as
-// JSON; --assert-speedup X exits 3 unless cached is at least X times
-// faster than cold.
-//
-// Exit status: 0 clean, 1 violations found, 2 usage or I/O error,
-// 3 speedup assertion failed.
+// Exit status: 0 clean, 1 violations found, 2 usage or I/O error.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -28,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "lint/cache.hpp"
 #include "lint/lint.hpp"
 
 namespace fs = std::filesystem;
@@ -49,130 +36,21 @@ bool read_file(const fs::path& p, std::string& out) {
   return true;
 }
 
-bool write_file(const fs::path& p, const std::string& content) {
-  std::ofstream out(p, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
-
-std::int64_t mtime_ns(const fs::path& p) {
-  std::error_code ec;
-  const auto t = fs::last_write_time(p, ec);
-  if (ec) return 0;
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             t.time_since_epoch())
-      .count();
-}
-
-struct Input {
-  fs::path full;
-  std::string norm;  ///< normalized path used in diagnostics
-};
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Full analysis: read every file and run the linter.
-bool run_cold(const std::vector<Input>& files,
-              std::vector<vtopo::lint::Diagnostic>& diags,
-              vtopo::lint::CacheData* cache_out, std::size_t* total_bytes) {
-  vtopo::lint::Linter linter;
-  for (const auto& f : files) {
-    std::string content;
-    if (!read_file(f.full, content)) {
-      std::fprintf(stderr, "vtopo_lint: cannot read %s\n",
-                   f.full.string().c_str());
-      return false;
-    }
-    if (total_bytes != nullptr) *total_bytes += content.size();
-    if (cache_out != nullptr) {
-      vtopo::lint::CacheFileKey key;
-      key.path = f.norm;
-      key.size = content.size();
-      key.mtime_ns = mtime_ns(f.full);
-      key.hash = vtopo::lint::fnv1a(content);
-      cache_out->files.push_back(std::move(key));
-    }
-    linter.add_file(f.norm, std::move(content));
-  }
-  diags = linter.run();
-  if (cache_out != nullptr) cache_out->diags = diags;
-  return true;
-}
-
-/// Cache validation: stat (size+mtime fast path) or hash every file
-/// against the stored keys. True only when the whole tree matches.
-bool cache_matches(const std::vector<Input>& files,
-                   const vtopo::lint::CacheData& cache) {
-  if (cache.files.size() != files.size()) return false;
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    const auto& key = cache.files[i];
-    const auto& f = files[i];
-    if (key.path != f.norm) return false;
-    std::error_code ec;
-    const auto size = fs::file_size(f.full, ec);
-    if (ec || size != key.size) return false;
-    if (key.mtime_ns != 0 && mtime_ns(f.full) == key.mtime_ns) {
-      continue;  // fast path: same size and mtime
-    }
-    std::string content;
-    if (!read_file(f.full, content)) return false;
-    if (vtopo::lint::fnv1a(content) != key.hash) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  bool sarif = false;
-  bool bench = false;
-  double assert_speedup = 0.0;
   fs::path root = ".";
-  std::string cache_path;
-  std::string sarif_out;
-  std::string bench_out;
   std::vector<std::string> paths;
-  auto need_value = [&](int& i, const char* flag, std::string& out) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "vtopo_lint: %s needs a value\n", flag);
-      return false;
-    }
-    out = argv[++i];
-    return true;
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--sarif") {
-      sarif = true;
-    } else if (arg == "--bench") {
-      bench = true;
-    } else if (arg == "--root") {
-      std::string v;
-      if (!need_value(i, "--root", v)) return 2;
-      root = v;
-    } else if (arg == "--cache") {
-      if (!need_value(i, "--cache", cache_path)) return 2;
-    } else if (arg == "--sarif-out") {
-      if (!need_value(i, "--sarif-out", sarif_out)) return 2;
-    } else if (arg == "--bench-out") {
-      if (!need_value(i, "--bench-out", bench_out)) return 2;
-    } else if (arg == "--assert-speedup") {
-      std::string v;
-      if (!need_value(i, "--assert-speedup", v)) return 2;
-      assert_speedup = std::atof(v.c_str());
+    if (arg == "--root") {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "vtopo_lint: --root needs a value\n");
+        return 2;
+      }
+      root = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: vtopo_lint [--json|--sarif] [--sarif-out FILE] "
-          "[--root DIR] [--cache FILE] [--bench] [--bench-out FILE] "
-          "[--assert-speedup X] [path...]\n");
+      std::printf("usage: vtopo_lint [--root DIR] [path...]\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "vtopo_lint: unknown flag '%s'\n", arg.c_str());
@@ -180,10 +58,6 @@ int main(int argc, char** argv) {
     } else {
       paths.push_back(arg);
     }
-  }
-  if (json && sarif) {
-    std::fprintf(stderr, "vtopo_lint: --json and --sarif are exclusive\n");
-    return 2;
   }
   if (paths.empty()) paths = {"src", "bench"};
 
@@ -209,118 +83,24 @@ int main(int argc, char** argv) {
   }
   std::sort(found.begin(), found.end());
   found.erase(std::unique(found.begin(), found.end()), found.end());
-  std::vector<Input> files;
-  files.reserve(found.size());
+
+  vtopo::lint::Linter linter;
   for (const auto& f : found) {
-    files.push_back(Input{f, f.lexically_normal().generic_string()});
-  }
-
-  std::vector<vtopo::lint::Diagnostic> diags;
-  bool from_cache = false;
-  double cold_ms = 0.0;
-  double cached_ms = 0.0;
-  std::size_t total_bytes = 0;
-
-  if (bench) {
-    // In-process cold-vs-cached benchmark: time a full analysis, write
-    // the cache (in memory; also to --cache when given), then time the
-    // validate-and-replay path.
-    vtopo::lint::CacheData cache;
-    const auto t0 = std::chrono::steady_clock::now();
-    if (!run_cold(files, diags, &cache, &total_bytes)) return 2;
-    cold_ms = ms_since(t0);
-    const std::string serialized = vtopo::lint::serialize_cache(cache);
-    if (!cache_path.empty() && !write_file(cache_path, serialized)) {
-      std::fprintf(stderr, "vtopo_lint: cannot write cache %s\n",
-                   cache_path.c_str());
+    std::string content;
+    if (!read_file(f, content)) {
+      std::fprintf(stderr, "vtopo_lint: cannot read %s\n", f.string().c_str());
       return 2;
     }
-    const auto t1 = std::chrono::steady_clock::now();
-    vtopo::lint::CacheData reread;
-    bool replayed = vtopo::lint::parse_cache(serialized, reread) &&
-                    cache_matches(files, reread);
-    if (replayed) diags = std::move(reread.diags);
-    cached_ms = ms_since(t1);
-    if (!replayed) {
-      std::fprintf(stderr,
-                   "vtopo_lint: cache replay failed during --bench\n");
-      return 2;
-    }
-    from_cache = true;
-  } else if (!cache_path.empty()) {
-    std::string text;
-    vtopo::lint::CacheData cache;
-    if (read_file(cache_path, text) && vtopo::lint::parse_cache(text, cache) &&
-        cache_matches(files, cache)) {
-      diags = std::move(cache.diags);
-      from_cache = true;
-    } else {
-      vtopo::lint::CacheData fresh;
-      if (!run_cold(files, diags, &fresh, &total_bytes)) return 2;
-      if (!write_file(cache_path, vtopo::lint::serialize_cache(fresh))) {
-        std::fprintf(stderr, "vtopo_lint: cannot write cache %s\n",
-                     cache_path.c_str());
-        return 2;
-      }
-    }
+    linter.add_file(f.lexically_normal().generic_string(), std::move(content));
+  }
+  const std::vector<vtopo::lint::Diagnostic> diags = linter.run();
+
+  std::fputs(vtopo::lint::format_text(diags).c_str(), stdout);
+  if (diags.empty()) {
+    std::printf("vtopo_lint: %zu files clean\n", found.size());
   } else {
-    if (!run_cold(files, diags, nullptr, &total_bytes)) return 2;
-  }
-
-  if (!sarif_out.empty() &&
-      !write_file(sarif_out, vtopo::lint::format_sarif(diags))) {
-    std::fprintf(stderr, "vtopo_lint: cannot write %s\n", sarif_out.c_str());
-    return 2;
-  }
-
-  if (json) {
-    std::fputs(vtopo::lint::format_json(diags).c_str(), stdout);
-  } else if (sarif) {
-    std::fputs(vtopo::lint::format_sarif(diags).c_str(), stdout);
-  } else {
-    std::fputs(vtopo::lint::format_text(diags).c_str(), stdout);
-    if (diags.empty()) {
-      std::printf("vtopo_lint: %zu files clean%s\n", files.size(),
-                  from_cache && !bench ? " (cached)" : "");
-    } else {
-      std::printf("vtopo_lint: %zu violation(s) in %zu files\n", diags.size(),
-                  files.size());
-    }
-  }
-
-  if (bench) {
-    const double speedup = cached_ms > 0.0 ? cold_ms / cached_ms : 0.0;
-    std::printf(
-        "vtopo_lint bench: %zu files, %zu KiB | cold %.2f ms, cached %.2f "
-        "ms, speedup %.1fx\n",
-        files.size(), total_bytes / 1024, cold_ms, cached_ms, speedup);
-    if (!bench_out.empty()) {
-      char buf[512];
-      std::snprintf(buf, sizeof(buf),
-                    "{\n"
-                    "  \"bench\": \"lint\",\n"
-                    "  \"files\": %zu,\n"
-                    "  \"bytes\": %zu,\n"
-                    "  \"diagnostics\": %zu,\n"
-                    "  \"cold_ms\": %.3f,\n"
-                    "  \"cached_ms\": %.3f,\n"
-                    "  \"speedup\": %.2f\n"
-                    "}\n",
-                    files.size(), total_bytes, diags.size(), cold_ms,
-                    cached_ms, speedup);
-      if (!write_file(bench_out, buf)) {
-        std::fprintf(stderr, "vtopo_lint: cannot write %s\n",
-                     bench_out.c_str());
-        return 2;
-      }
-    }
-    if (assert_speedup > 0.0 && speedup < assert_speedup) {
-      std::fprintf(stderr,
-                   "vtopo_lint: cached replay is only %.1fx faster than "
-                   "cold (need >= %.1fx)\n",
-                   speedup, assert_speedup);
-      return 3;
-    }
+    std::printf("vtopo_lint: %zu violation(s) in %zu files\n", diags.size(),
+                found.size());
   }
   return diags.empty() ? 0 : 1;
 }
