@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "armci/backend_threads.hpp"
 #include "armci/proc.hpp"
 #include "armci/runtime.hpp"
 #include "net/network.hpp"
@@ -225,12 +226,13 @@ ShardedPath measure_sharded_path(std::int64_t total_ops, int shards,
 }
 
 /// Threads-backend section: the same fetch-&-add flood on the real
-/// std::thread transport (one worker per node, real MPSC queues, real
-/// shared-memory copies). Latency here is wall-clock end-to-end per op,
-/// collected per process and summarized with the shared Percentiles
-/// helper — these are REAL nanoseconds, not simulated ones, so they are
-/// host-dependent and not comparable to the sim sections above (see
-/// docs/performance.md).
+/// std::thread transport (one worker per node, real shared-memory
+/// copies). Its 17 workers oversubscribe a host with fewer cores, where
+/// every worker parks instead of spinning. Latency here is wall-clock
+/// end-to-end per op, collected per process and summarized with the
+/// shared Percentiles helper — these are REAL nanoseconds, not
+/// simulated ones, so they are host-dependent and not comparable to the
+/// sim sections above (see docs/performance.md).
 struct ThreadsPath {
   std::int64_t nodes = 0;
   std::int64_t procs = 0;
@@ -330,6 +332,7 @@ int main(int argc, char** argv) {
   const ShardedPath spath =
       measure_sharded_path(path_ops, shards, shard_threads);
   const ThreadsPath tpath = measure_threads_path(path_ops);
+  const int host_cores = vtopo::armci::host_cores();
   const double fig7_ms = measure_fig7_wallclock_ms(quick);
 
   std::printf("events_per_sec        %.3e\n", eps);
@@ -348,8 +351,10 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(m.pool_created),
         static_cast<unsigned long long>(m.events));
   }
-  std::printf("threads_ops_per_sec   %.3e (%lld nodes, real wall-clock)\n",
-              tpath.ops_per_sec, static_cast<long long>(tpath.nodes));
+  std::printf("threads_ops_per_sec   %.3e (%lld nodes, %d host cores, "
+              "real wall-clock)\n",
+              tpath.ops_per_sec, static_cast<long long>(tpath.nodes),
+              host_cores);
   std::printf(
       "threads_latency_ns    p50=%.0f p99=%.0f p999=%.0f max=%.0f\n",
       tpath.p50_ns, tpath.p99_ns, tpath.p999_ns, tpath.max_ns);
@@ -392,6 +397,8 @@ int main(int argc, char** argv) {
                "{\n"
                "  \"backend\": \"threads\",\n"
                "  \"workload\": \"fetchadd_flood\",\n"
+               "  \"host_cores\": %d,\n"
+               "  \"build_type\": \"%s\",\n"
                "  \"nodes\": %lld,\n"
                "  \"procs\": %lld,\n"
                "  \"ops\": %lld,\n"
@@ -403,6 +410,7 @@ int main(int argc, char** argv) {
                "std::thread backend; host-dependent, not comparable to "
                "simulated-ns sections\"\n"
                "}\n",
+               host_cores, VTOPO_BUILD_TYPE,
                static_cast<long long>(tpath.nodes),
                static_cast<long long>(tpath.procs),
                static_cast<long long>(tpath.ops), tpath.wall_sec,

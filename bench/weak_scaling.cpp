@@ -38,10 +38,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "armci/backend_threads.hpp"
 #include "armci/proc.hpp"
 #include "armci/runtime.hpp"
 #include "core/topology.hpp"
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   const std::string out_path = args.get_string(
       "--out",
       threads ? "BENCH_realtime_scaling.json" : "BENCH_runtime.json");
-  const unsigned host_cores = std::thread::hardware_concurrency();
+  const int host_cores = vtopo::armci::host_cores();
 
   vtopo::bench::print_header(
       "weak_scaling",
@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
             "(real wall-clock, <= 1024 processes)"
           : "hot-spot fetch-add flood, 1k -> 64k processes + sharded 1M");
 
-  std::printf("host_cores            %u\n", host_cores);
+  std::printf("host_cores            %d\n", host_cores);
   vtopo::bench::print_rule();
 
   // Sweep ascending so each point's peak-RSS reading is dominated by its
@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   if (!threads) {
     vtopo::bench::print_rule();
     std::printf("# shard sweep: MFCG %lld procs, ThreadMode=auto "
-                "(host_cores=%u)\n",
+                "(host_cores=%d)\n",
                 static_cast<long long>(shard_procs), host_cores);
     for (const int shards : {1, 2, 4, 8}) {
       shard_points.push_back(run_point(vtopo::core::TopologyKind::kMfcg,
@@ -264,10 +264,11 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"backend\": \"%s\",\n"
-               "  \"host_cores\": %u,\n"
+               "  \"host_cores\": %d,\n"
+               "  \"build_type\": \"%s\",\n"
                "  \"fcg_skipped_above_procs\": %lld,\n"
                "  \"weak_scaling\": [\n",
-               backend_name.c_str(), host_cores,
+               backend_name.c_str(), host_cores, VTOPO_BUILD_TYPE,
                static_cast<long long>(kFcgMaxProcs));
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& pt = points[i];

@@ -3,22 +3,49 @@
 //
 // Threads backend: one real std::thread per simulated node.
 //
-// Each node owns a NodeExec — a mutex-guarded MPSC timed queue (any
-// thread posts, only the node's worker pops) plus a `sim::Engine`
-// *facade* in realtime mode. The facade's ShardHook routes every
-// schedule_at/schedule_on_node into the queues, so the whole protocol
-// stack (CHT service loops, QosQueue wakeups, CreditBank hand-offs,
-// congestion windows) runs unchanged on real threads. "Latency" is
-// wall-clock: a due time is nanoseconds since transport start measured
-// on steady_clock, and a worker sleeps on its condition variable until
-// the earliest due event matures. Payload movement is a real memcpy
+// Each node owns a NodeExec: a `sim::Engine` *facade* in realtime mode
+// plus the event queues its worker drains. The facade's ShardHook routes
+// every schedule_at/schedule_on_node into those queues, so the whole
+// protocol stack (CHT service loops, QosQueue wakeups, CreditBank
+// hand-offs, congestion windows) runs unchanged on real threads.
+// "Latency" is wall-clock: a due time is nanoseconds since transport
+// start measured on steady_clock. Payload movement is a real memcpy
 // between segments (see Proc::put/get threads branches).
+//
+// Executor. A worker keeps its timers in a private (due, seq) heap. What
+// it posts to its own node (Sleeps, queue wakeups, same-node
+// completions: most of the traffic) goes straight onto that heap, with
+// no lock and no notify. Every other post, from another worker or the
+// driver, is appended to the node's inbox under `mu`. The worker takes
+// the whole batch at once and stamps seq as it moves the events into its
+// heap, so events run in (due, seq) order and never before their due
+// time. Before each event the worker loads an atomic post counter and
+// drains the inbox first if it moved: a foreign post waits behind at
+// most one local event.
+//
+// Waiting follows the paper's CHT (Sec. V-B2): a busy worker polls, an
+// idle one blocks. A timer due within kSpinNs is awaited by spinning on
+// the clock and the post counter. An empty heap is polled for kSpinNs,
+// yielding the core between loads, before the worker parks on its
+// condition variable; a poster notifies only a parked worker. Spinning
+// pays only while every worker has a core of its own, so
+// start_workers() enables it only when nodes + 1 <= host_cores();
+// otherwise a worker parks at once. Workers run with 1 ns timer slack,
+// so a timed park does not stretch a sub-microsecond modeled cost to the
+// kernel's default 50 us slack.
+//
+// drive() needs to know when no work is left anywhere. pending_ counts
+// each post sitting in an inbox plus one token per worker whose heap is
+// non-empty or whose event is running. A worker's posts to itself ride
+// on its token, so the hot path touches no shared counter.
 //
 // Memory confinement contract (what makes this TSan-clean):
 //  * a node's facade, CHT, CreditBank, congestion window, request-pool
 //    slot and memory segment are touched only by that node's worker —
 //    or by the driver thread while every worker is quiescent (the
 //    pending-count handshake in drive() orders the two);
+//  * a node's timer heap is touched only by its worker;
+//  * its inbox and parked flag are guarded by its `mu`;
 //  * cross-node effects travel exclusively as posted closures;
 //  * cross-thread completion (sim::Future) uses the realtime protocol,
 //    which posts resumes at due=0 and never reads a foreign clock.
@@ -40,6 +67,9 @@
 #include "sim/time.hpp"
 
 namespace vtopo::armci {
+
+/// Cores in this process's affinity mask, as `nproc` counts them.
+[[nodiscard]] int host_cores();
 
 class ThreadsTransport final : public Transport {
  public:
@@ -123,26 +153,53 @@ class ThreadsTransport final : public Transport {
   struct alignas(64) NodeExec {
     sim::Engine facade;
     NodeHook hook;
+    // Worker-private.
+    std::vector<TimedEv> heap;
+    std::vector<TimedEv> spare;  ///< last drained batch, emptied
+    std::uint64_t seq = 0;
+    std::uint64_t seen = 0;  ///< `posts` as of the last drain
+    std::uint64_t executed = 0;
+    bool busy = false;  ///< holds a pending_ token: heap non-empty or running
+    // Shared with posters; `posts` is bumped under `mu`.
+    alignas(64) std::atomic<std::uint64_t> posts{0};
     std::mutex mu;
     std::condition_variable cv;
-    std::vector<TimedEv> heap;
-    std::uint64_t seq = 0;
-    std::uint64_t executed = 0;
+    std::vector<TimedEv> inbox;  ///< guarded by mu
+    bool parked = false;         ///< guarded by mu
   };
 
+  /// A timed futex wait shorter than the kernel's default timer slack
+  /// (50 us) cannot be trusted to wake on time, so a worker spins
+  /// through gaps up to this long, and polls this long before parking.
+  static constexpr sim::TimeNs kSpinNs = 50'000;
+
   void post_at(int node, sim::TimeNs due, sim::InlineFn fn);
+  static void push_timer(NodeExec& ex, sim::TimeNs due, sim::InlineFn fn);
+  void drain_inbox(NodeExec& ex);
+  /// Spin until a post arrives (true) or wall_now() reaches `until`.
+  /// An idle poll yields between loads: the kernel often queues a thread
+  /// this worker has just woken (a peer, the driver) on this worker's
+  /// core, and a bare spin would make it wait out the whole poll.
+  bool poll_posts(const NodeExec& ex, sim::TimeNs until, bool yield) const;
+  /// Block until the inbox is non-empty, stop_, or `deadline` (kForever:
+  /// none). The inbox is re-checked under `mu` before blocking.
+  void park(NodeExec& ex, sim::TimeNs deadline);
+  void run_next(NodeExec& ex, sim::TimeNs now);
   void worker_main(int node);
   void start_workers();
 
   const int num_nodes_;
   const std::chrono::steady_clock::time_point t0_;
   std::deque<NodeExec> execs_;  ///< num_nodes_ + 1 (global last)
+  /// Inbox posts plus busy workers' tokens: zero exactly when no posted
+  /// work remains.
   std::atomic<std::int64_t> pending_{0};
   std::mutex done_mu_;
   std::condition_variable done_cv_;
   std::mutex coll_mu_;
   std::atomic<bool> stop_{false};
   bool started_ = false;  ///< driver thread only
+  bool spin_ = false;     ///< set before the workers start
   std::vector<std::thread> workers_;
 };
 

@@ -30,9 +30,10 @@ namespace {
 
 using work::ClusterConfig;
 
-ClusterConfig small_cluster(armci::Backend backend, int shards = 0) {
+ClusterConfig small_cluster(armci::Backend backend, int shards = 0,
+                            int nodes = 4) {
   ClusterConfig cl;
-  cl.num_nodes = 4;
+  cl.num_nodes = nodes;
   cl.procs_per_node = 2;
   cl.topology = core::TopologyKind::kMfcg;
   cl.backend = backend;
@@ -59,11 +60,24 @@ void expect_same_completions(const armci::RuntimeStats& legacy,
   EXPECT_EQ(other.retries, 0u);
 }
 
-TEST(BackendDiff, DftMatchesSimExactly) {
+work::DftConfig small_dft() {
   work::DftConfig dft;
   dft.scf_iterations = 2;
   dft.total_tasks = 96;
   dft.compute_us_per_task = 20.0;
+  return dft;
+}
+
+work::PhasedConfig small_phased() {
+  work::PhasedConfig ph;
+  ph.cycles = 1;
+  ph.hot_ops_per_proc = 8;
+  ph.bw_tiles_per_proc = 4;
+  return ph;
+}
+
+TEST(BackendDiff, DftMatchesSimExactly) {
+  const work::DftConfig dft = small_dft();
   const work::AppResult sim =
       run_nwchem_dft(small_cluster(armci::Backend::kSim), dft);
   const work::AppResult thr =
@@ -97,10 +111,7 @@ TEST(BackendDiff, LuMatchesSimWithinAccumulationOrder) {
 }
 
 TEST(BackendDiff, PhasedMatchesSimExactly) {
-  work::PhasedConfig ph;
-  ph.cycles = 1;
-  ph.hot_ops_per_proc = 8;
-  ph.bw_tiles_per_proc = 4;
+  const work::PhasedConfig ph = small_phased();
   const work::PhasedResult sim =
       run_phased(small_cluster(armci::Backend::kSim), ph);
   const work::PhasedResult thr =
@@ -111,6 +122,27 @@ TEST(BackendDiff, PhasedMatchesSimExactly) {
   // counter (integer fetch-&-adds) + 0.5-step accumulates: both exact.
   EXPECT_EQ(sim.app.checksum, thr.app.checksum);
   EXPECT_EQ(sim.app.checksum, shd.app.checksum);
+}
+
+// Two nodes make three workers, which fit a 4-core host, so these
+// threads runs take the executor's spin path; the 4-node runs above
+// (five workers) park at every wait.
+TEST(BackendDiff, DftMatchesSimExactlyOnTwoNodes) {
+  const work::AppResult sim =
+      run_nwchem_dft(small_cluster(armci::Backend::kSim, 0, 2), small_dft());
+  const work::AppResult thr = run_nwchem_dft(
+      small_cluster(armci::Backend::kThreads, 0, 2), small_dft());
+  expect_same_completions(sim.stats, thr.stats);
+  EXPECT_EQ(sim.checksum, thr.checksum);
+}
+
+TEST(BackendDiff, PhasedMatchesSimExactlyOnTwoNodes) {
+  const work::PhasedResult sim =
+      run_phased(small_cluster(armci::Backend::kSim, 0, 2), small_phased());
+  const work::PhasedResult thr = run_phased(
+      small_cluster(armci::Backend::kThreads, 0, 2), small_phased());
+  expect_same_completions(sim.app.stats, thr.app.stats);
+  EXPECT_EQ(sim.app.checksum, thr.app.checksum);
 }
 
 // ---------------------------------------------------------------------

@@ -18,7 +18,8 @@
 #      stay deterministic across --jobs and shard counts, not just in
 #      the disabled-identity configuration the goldens pin.
 #   6. Threads-backend gate (ctest -L threads): the sim-vs-threads
-#      differential oracle and the real-thread quiescence battery.
+#      differential oracle, the real-thread quiescence battery and the
+#      executor tests.
 #   7. Multi-tenant service gate (ctest -L svc): admission/partitioner
 #      units, the tenant-isolation differential oracle, the tenant
 #      property battery and the service_bench smoke (which itself gates
@@ -122,9 +123,10 @@ diff -u "$fig_out/fig7_qos_s2.txt" "$fig_out/fig7_qos_s4.txt"
 
 echo "== threads backend =="
 # Real-thread transport: the differential oracle (sim vs threads
-# completion sets, checksums, credit conservation) plus the quiescence
-# battery. Timing is nondeterministic by design, so this gate checks
-# invariants, not bytes; the TSan pass over the same selection lives in
+# completion sets, checksums, credit conservation), the quiescence
+# battery and the executor tests (timing, FIFO, fairness, wake-ups).
+# Timing is nondeterministic by design, so this gate checks invariants,
+# not bytes; the TSan pass over the same selection lives in
 # tools/check_sanitize.sh.
 ctest --test-dir build -L threads -j "$(nproc)" --output-on-failure
 

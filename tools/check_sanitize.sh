@@ -17,8 +17,11 @@
 #      sharded storm test, with the race detector watching.
 #   5. TSan over the threads transport backend (ctest -L threads): one
 #      real worker thread per node, cross-thread request/ack/response
-#      posts, shared-memory payload copies and the realtime Future
-#      handshake — the differential oracle with the race detector on.
+#      posts through the inboxes, shared-memory payload copies and the
+#      realtime Future handshake — the differential oracle and the
+#      executor tests with the race detector on. Their 2-node runtimes
+#      (three workers) take the spin-then-park path on hosts with three
+#      or more cores; the 4- and 8-node ones park at every wait.
 #   6. TSan over the multi-tenant service battery (ctest -L svc): the
 #      uncoupled scheduler's one-host-thread-per-running-job path plus
 #      a byte-diff of the canonical report at jobs 4 vs 1 — the service
@@ -61,9 +64,12 @@ diff -u "$tsan_out/fig5_serial.txt" "$tsan_out/fig5_jobs4.txt"
 diff -u "$tsan_out/fig7_serial.txt" "$tsan_out/fig7_jobs4.txt"
 
 # Thread-pool startup/teardown in the hotpath bench, plus the sharded
-# engine's one-thread-per-shard parallel phase.
+# engine's one-thread-per-shard parallel phase. Its JSON goes to the
+# scratch dir, not over the committed BENCH_hotpath.json and
+# BENCH_realtime.json.
 ./build-tsan/bench/hotpath_bench --quick --shards 4 --shard-threads \
-  >/dev/null
+  --out "$tsan_out/BENCH_hotpath.json" \
+  --realtime-out "$tsan_out/BENCH_realtime.json" >/dev/null
 
 # Sharded engine under real threads: byte-identity across shard counts
 # and thread modes with the race detector watching the window protocol.
@@ -73,9 +79,11 @@ diff -u "$tsan_out/fig7_serial.txt" "$tsan_out/fig7_jobs4.txt"
 # congestion windows (covers the sharded QoS storm invariance test).
 ctest --test-dir build-tsan -L qos -j "$(nproc)" --output-on-failure
 
-# Threads transport backend: per-node worker threads with real MPSC
-# queues and shared-memory copies. The differential oracle and the
-# quiescence battery run with the race detector watching every
+# Threads transport backend: per-node workers with private timer heaps,
+# mutex-guarded inboxes and shared-memory copies. The differential
+# oracle (including its 2-node, spin-path runs), the quiescence battery
+# and the executor tests (never early, FIFO, no starvation, no lost
+# wake-up, idle workers park) run with the race detector watching every
 # cross-thread post and payload copy.
 ctest --test-dir build-tsan -L threads -j "$(nproc)" --output-on-failure
 
