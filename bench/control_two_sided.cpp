@@ -23,7 +23,7 @@ namespace {
 
 /// Two-sided nearest-neighbor sweep shaped like the LU wavefront.
 double run_two_sided_sweep(core::TopologyKind kind, int iterations) {
-  sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+  sim::Engine eng;
   armci::Runtime::Config cfg;
   cfg.num_nodes = 64;
   cfg.procs_per_node = 4;
@@ -33,7 +33,6 @@ double run_two_sided_sweep(core::TopologyKind kind, int iterations) {
   const core::Shape grid = core::mesh_shape_for(rt.num_procs());
   const std::int32_t px = grid.dim(0);
 
-  // vtopo-lint: allow(coro-ref) -- closure copied into Runtime::programs_; captured locals outlive run_all()
   rt.spawn_all([&, px, iterations](armci::Proc& p) -> sim::Co<void> {
     const armci::ProcId me = p.id();
     const std::int32_t ix = me % px;

@@ -40,7 +40,7 @@ struct RatePoint {
 };
 
 RatePoint run_rate(double rate, bool quick) {
-  sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+  sim::Engine eng;
   armci::Runtime::Config cfg;
   cfg.num_nodes = quick ? 8 : 16;
   cfg.procs_per_node = 2;
@@ -64,7 +64,6 @@ RatePoint run_rate(double rate, bool quick) {
 
   sim::Series lat;
   sim::TimeNs last_done = 0;
-  // vtopo-lint: allow(coro-ref) -- closure copied into Runtime::programs_; captured locals outlive run_all()
   rt.spawn_all([&, off, ops](armci::Proc& p) -> sim::Co<void> {
     for (int i = 0; i < ops; ++i) {
       const sim::TimeNs t0 = p.runtime().engine().now();

@@ -21,7 +21,7 @@ struct Sample {
 
 Sample measure(core::TopologyKind kind, std::int64_t patch,
                int repeats) {
-  sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+  sim::Engine eng;
   armci::Runtime::Config cfg;
   cfg.num_nodes = 64;
   cfg.procs_per_node = 4;
@@ -33,7 +33,6 @@ Sample measure(core::TopologyKind kind, std::int64_t patch,
   sim::Series get_series;
   sim::Series acc_series;
   // One measuring process touching far-away patches; everyone else idle.
-  // vtopo-lint: allow(coro-ref) -- closure copied into Runtime::programs_; captured locals outlive run_all()
   rt.spawn(rt.num_procs() - 1, [&](armci::Proc& p) -> sim::Co<void> {
     std::vector<double> buf(static_cast<std::size_t>(patch * patch));
     sim::Engine& e = p.runtime().engine();

@@ -43,7 +43,6 @@ class LegacyEngine {
 
   void schedule_at(TimeNs t, std::function<void()> fn) {
     assert(t >= now_ && "cannot schedule into the simulated past");
-    // vtopo-lint: allow(qos-submit) -- LegacyEngine's own event heap shares the queue_ name; not a CHT request queue
     queue_.push(Event{t, next_seq_++, std::move(fn)});
   }
 
@@ -132,7 +131,7 @@ double measure_events_per_sec(std::int64_t total_events, int timers) {
 }
 
 double measure_msgs_per_sec(std::int64_t total_msgs) {
-  vtopo::sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+  vtopo::sim::Engine eng;
   vtopo::net::Network net(eng, 256);
   vtopo::sim::Rng rng(7);
   const auto start = std::chrono::steady_clock::now();
@@ -156,7 +155,7 @@ struct RuntimePath {
 };
 
 RuntimePath measure_runtime_path(std::int64_t total_ops) {
-  vtopo::sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+  vtopo::sim::Engine eng;
   vtopo::armci::Runtime::Config cfg;
   cfg.num_nodes = 16;
   cfg.procs_per_node = 4;

@@ -60,7 +60,7 @@ BENCHMARK(BM_HypercubeRoute)->Arg(1024)->Arg(4096);
 
 static void BM_EngineScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
-    sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+    sim::Engine eng;
     for (int i = 0; i < 1000; ++i) {
       eng.schedule_at(i, [] {});
     }
@@ -72,7 +72,7 @@ BENCHMARK(BM_EngineScheduleRun);
 
 static void BM_CoroutinePingPong(benchmark::State& state) {
   for (auto _ : state) {
-    sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+    sim::Engine eng;
     auto body = [](sim::Engine& e) -> sim::Co<void> {
       for (int i = 0; i < 500; ++i) co_await sim::Sleep(e, 1);
     };
@@ -116,7 +116,7 @@ static void BM_InlineFnScheduleRun(benchmark::State& state) {
     std::uint64_t a, b, c, d;
   };
   for (auto _ : state) {
-    sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+    sim::Engine eng;
     std::uint64_t sink = 0;
     for (int i = 0; i < 1000; ++i) {
       Payload p{static_cast<std::uint64_t>(i), 1, 2, 3};
@@ -145,7 +145,7 @@ static void BM_ParallelSweep(benchmark::State& state) {
   const auto jobs = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     const auto out = bench::run_sweep(16, jobs, [](std::size_t i) {
-      sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+      sim::Engine eng;
       for (int e = 0; e < 200; ++e) {
         eng.schedule_at(static_cast<sim::TimeNs>(e + i), [] {});
       }
@@ -157,7 +157,7 @@ static void BM_ParallelSweep(benchmark::State& state) {
 BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(4);
 
 static void BM_NetworkSend(benchmark::State& state) {
-  sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+  sim::Engine eng;
   net::Network net(eng, 256);
   sim::Rng rng(5);
   for (auto _ : state) {

@@ -85,7 +85,7 @@ armci::Runtime::Config storm_cfg(bool qos, bool quick) {
 constexpr std::int64_t kBulkBytes = 1024;
 
 StormResult run_storm(bool qos, bool quick) {
-  sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+  sim::Engine eng;
   armci::Runtime rt(eng, storm_cfg(qos, quick));
   rt.tracer().enable();
   const int bulk_ops = quick ? 12 : 25;
@@ -167,7 +167,7 @@ struct PhasedOut {
 /// each upcoming phase's skew, installing qos_hot / qos_cold through
 /// the serial phase) gets paid for.
 PhasedOut run_phases(Policy policy, bool quick) {
-  sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+  sim::Engine eng;
   armci::Runtime::Config cfg =
       storm_cfg(policy == Policy::kStaticQos, quick);
   armci::Runtime rt(eng, cfg);

@@ -51,7 +51,7 @@ sim::Co<void> switch_at(armci::Runtime* rt, sim::TimeNs at,
 /// given remap strategy. Everything is simulated time: the run is
 /// deterministic and comparable across modes.
 ModeCost price_mode(armci::ReconfigMode mode, bool quick) {
-  sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+  sim::Engine eng;
   armci::Runtime::Config cfg;
   cfg.num_nodes = quick ? 32 : 128;
   cfg.procs_per_node = 4;

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
               "allreduce_us");
 
   for (const auto kind : core::all_topology_kinds()) {
-    sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+    sim::Engine eng;
     armci::Runtime::Config cfg;
     cfg.num_nodes = nodes;
     cfg.procs_per_node = 4;
@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     coll::TreeReduce tr(rt, ts,
                         core::build_request_tree(rt.topology(), 0));
     sim::TimeNs total = 0;
-    // vtopo-lint: allow(coro-ref) -- closure copied into Runtime::programs_; captured locals outlive run_all()
     rt.spawn_all([&](armci::Proc& p) -> sim::Co<void> {
       sim::Engine& e = p.runtime().engine();
       for (int r = 0; r < rounds; ++r) {

@@ -90,7 +90,7 @@ Point run_point(vtopo::core::TopologyKind kind, std::int64_t procs,
                 int ops_per_proc, int shards = 0,
                 bool use_threads = false) {
   const auto start = std::chrono::steady_clock::now();
-  vtopo::sim::Engine eng; // vtopo-lint: allow(backend-seam) -- engine microbench measures the sim backend itself
+  vtopo::sim::Engine eng;
   Runtime::Config cfg;
   cfg.procs_per_node = 4;
   cfg.num_nodes = procs / cfg.procs_per_node;

@@ -29,7 +29,7 @@ struct Layout {
   std::int64_t sum;      // accumulate target on rank 0
 };
 
-sim::Co<void> program(Proc& p, const Layout& lay) {
+sim::Co<void> program(Proc& p, Layout lay) {
   // 1. Dynamic-load-balancing idiom: grab a ticket from a global
   //    counter owned by rank 0 (ARMCI_Rmw / GA NXTVAL).
   const std::int64_t ticket =

@@ -39,8 +39,8 @@ class Cht {
   /// Deliver a request to this CHT (called from network arrival events).
   /// The only sanctioned entry into the service queue: it stamps the
   /// enqueue time (per-class queue-wait accounting + aging) and keeps
-  /// the backlog high-water — lint rule Q1 flags call sites that push
-  /// into a CHT queue any other way.
+  /// the backlog high-water. queue_ is private, so no other caller can
+  /// push into it.
   void submit(RequestPtr r);
 
   /// Queue depth right now (diagnostics; excludes the shutdown poison).

@@ -54,7 +54,6 @@ Runtime::Runtime(sim::Engine& eng, Config cfg)
 Runtime::Runtime(Config cfg)
     : sharded_(cfg.backend == Backend::kThreads
                    ? nullptr
-                   // vtopo-lint: allow(backend-seam) -- the Runtime ctor IS the seam: it owns the sim backend's engine
                    : std::make_unique<sim::ShardedEngine>(
                          static_cast<int>(cfg.num_nodes),
                          std::max(cfg.shards, 1),

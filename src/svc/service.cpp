@@ -83,7 +83,6 @@ struct CoupledRun {
 
   const ServiceConfig* cfg;
   const std::vector<JobSpec>* specs;
-  // vtopo-lint: allow(backend-seam) -- the coupled machine engine IS the service's legacy-engine seam
   sim::Engine eng;
   std::shared_ptr<net::Fabric> fabric;
   core::TorusPartitioner parts;

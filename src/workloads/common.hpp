@@ -93,7 +93,6 @@ class ClusterHandle {
     }
     // The one place workload code still builds the legacy engine; its
     // event stream is the original golden family, byte for byte.
-    // vtopo-lint: allow(backend-seam) -- legacy-engine golden family lives here
     eng_ = std::make_unique<sim::Engine>();
     rt_ = std::make_unique<armci::Runtime>(*eng_, cl.runtime_config());
   }

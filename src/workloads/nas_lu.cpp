@@ -71,7 +71,6 @@ sim::Co<void> body(Proc& p, std::shared_ptr<Shared> st) {
 
     // Push boundary pencils east and south as noncontiguous puts (one
     // segment per pencil variable), then notify.
-    // vtopo-lint: allow(coro-ref) -- co_awaited inline below; the closure outlives each frame
     auto send_to = [&](armci::ProcId dest, int dir) -> sim::Co<void> {
       std::vector<PutSeg> segs(
           static_cast<std::size_t>(cfg.pencil_doubles));

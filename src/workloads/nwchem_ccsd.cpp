@@ -84,7 +84,7 @@ JobProgram make_nwchem_ccsd_job(armci::Runtime& rt, const CcsdConfig& cfg) {
 
 AppResult run_nwchem_ccsd(const ClusterConfig& cluster,
                           const CcsdConfig& cfg) {
-  sim::Engine eng; // vtopo-lint: allow(backend-seam) -- legacy-engine golden family
+  sim::Engine eng;
   armci::Runtime rt(eng, cluster.runtime_config());
   arm_reconfigure(rt, cluster);
 

@@ -69,7 +69,7 @@ JobProgram make_synthetic_job(armci::Runtime& rt,
 
 AppResult run_synthetic(const ClusterConfig& cluster,
                         const SyntheticConfig& cfg) {
-  sim::Engine eng; // vtopo-lint: allow(backend-seam) -- legacy-engine golden family
+  sim::Engine eng;
   armci::Runtime rt(eng, cluster.runtime_config());
   arm_reconfigure(rt, cluster);
   JobProgram prog = make_synthetic_job(rt, cfg);

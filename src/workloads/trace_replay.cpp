@@ -164,7 +164,7 @@ TraceResult replay_trace(const ClusterConfig& cluster,
     }
   }
 
-  sim::Engine eng; // vtopo-lint: allow(backend-seam) -- legacy-engine golden family
+  sim::Engine eng;
   armci::Runtime rt(eng, cluster.runtime_config());
   arm_reconfigure(rt, cluster);
   auto st = std::make_shared<Shared>();

@@ -487,7 +487,6 @@ TEST(QosAdaptive, ControllerRetunesQosAtPhaseBoundaries) {
   EXPECT_FALSE(rt.qos().enabled);
   const auto off = rt.memory().alloc_all(64);
   bool hot_seen_on = false;
-  // vtopo-lint: allow(coro-ref) -- closure copied into Runtime::programs_; captured locals outlive run_all()
   rt.spawn(0, [&, off](Proc& p) -> sim::Co<void> {
     co_await p.fetch_add(GAddr{0, off}, 1);
     // Announce a hot-spotted upcoming phase: the hot QoS config lands.

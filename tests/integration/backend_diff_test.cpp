@@ -163,7 +163,6 @@ armci::Runtime::Config direct_cfg(armci::Backend backend) {
 /// Mixed program touching every major op family: direct puts/gets to a
 /// neighbor, forwarded fetch-&-adds and accumulates on rank 0.
 void run_mixed(armci::Runtime& rt, std::int64_t region) {
-  // vtopo-lint: allow(coro-ref) -- closure copied into Runtime::programs_; captured locals outlive run_all()
   rt.spawn_all([region](armci::Proc& p) -> sim::Co<void> {
     const std::vector<double> v(8, 0.25);
     std::vector<std::uint8_t> buf(64, static_cast<std::uint8_t>(p.id()));

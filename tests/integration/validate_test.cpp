@@ -34,7 +34,6 @@ armci::Runtime::Config hot_spot_cfg(TopologyKind kind,
 /// accumulates a small vector — the paper's hot-spot pattern, which
 /// drains every credit pool and forwards on every virtual topology.
 void run_hot_spot(armci::Runtime& rt, std::int64_t region) {
-  // vtopo-lint: allow(coro-ref) -- closure copied into Runtime::programs_; captured locals outlive run_all()
   rt.spawn_all([&, region](armci::Proc& p) -> sim::Co<void> {
     const std::vector<double> v(8, 1.0);
     for (int i = 0; i < 4; ++i) {

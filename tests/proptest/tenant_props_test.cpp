@@ -128,7 +128,7 @@ armci::Runtime::Config tenant_config(const CaseSpec& spec,
 /// (armed with the spec's whole fault plan) on one shared fabric with
 /// compact route-contained partitions.
 PairRun run_pair(const CaseSpec& spec, bool with_b) {
-  sim::Engine eng; // vtopo-lint: allow(backend-seam) -- coupled-fabric tenant composition runs on the legacy engine
+  sim::Engine eng;
   // 4x headroom: the near-cubic machine for 2*nodes fragments after the
   // first box carve (e.g. 8+8 on the 3x3x2-for-16 torus leaves no free
   // 2x2x2), so size the fabric for four tenants and carve two.

@@ -1,11 +1,12 @@
 // Mutation test for vtopo-lint over the real tree. Each mutant seeds one
-// bug of the kind a flow rule exists to catch (a CreditBank lease that
-// never comes back, a lock-order cycle, a reference held across a
-// suspension point) into an in-memory copy of src/ and bench/, and the
-// linter must report exactly one diagnostic: the mutant's rule, in the
-// mutated file. Each anchor must occur exactly once in its file, so the
-// test fails loudly when the guarded code moves instead of silently
-// linting an unmutated tree.
+// bug of the kind a rule exists to catch (a CreditBank lease that never
+// comes back, a lock-order cycle, a reference held across a suspension
+// point, a dangling coroutine capture, a wall-clock or hash-order or
+// address-order input to the simulation) into an in-memory copy of the
+// linted tree, and the linter must report exactly one diagnostic: the
+// mutant's rule, in the mutated file. Each anchor must occur exactly once
+// in its file, so the test fails loudly when the guarded code moves
+// instead of silently linting an unmutated tree.
 #include "lint/lint.hpp"
 
 #include <gtest/gtest.h>
@@ -23,12 +24,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Every source file under src/ and bench/ (the lint_tree selection),
-/// keyed by its path relative to the repository root.
+/// Every source file under kLintedDirs (the lint_tree selection), keyed
+/// by its path relative to the repository root.
 std::map<std::string, std::string> read_source_tree() {
   std::map<std::string, std::string> files;
   const fs::path root = VTOPO_SOURCE_DIR;
-  for (const char* dir : {"src", "bench"}) {
+  for (const char* dir : kLintedDirs) {
     for (const auto& e : fs::recursive_directory_iterator(root / dir)) {
       const std::string ext = e.path().extension().string();
       if (!e.is_regular_file() ||
@@ -127,6 +128,74 @@ TEST(LintMutation, C2ForwardPostsByRefClosureBeforeSleep) {
       "  int hops = 0;\n"
       "  rt_->transport().post(static_cast<int>(next), [&hops] { ++hops; });\n"
       "  co_await sim::Sleep(rt_->engine(), p.cht_forward_extra);\n");
+}
+
+TEST(LintMutation, C1NbGetBindsTemporaryToConstRefParam) {
+  // drive_get's segment list binds to the vector nb_get_v builds in the
+  // call; the frame outlives that full-expression.
+  expect_caught_by("C1", "src/armci/proc.cpp",
+                   "                        std::vector<GetSeg> segs, "
+                   "sim::Future<int> done) {\n"
+                   "  co_await self->scatter_get(target, std::move(segs));",
+                   "                        const std::vector<GetSeg>& segs, "
+                   "sim::Future<int> done) {\n"
+                   "  co_await self->scatter_get(target, segs);");
+}
+
+TEST(LintMutation, C1NbGetSpawnsClosureInvokedInPlace) {
+  // By-value captures dangle too: the closure is the temporary, and the
+  // frame reads v and done through it after nb_get_v returns.
+  expect_caught_by(
+      "C1", "src/armci/proc.cpp",
+      "  rt_->spawn_task(drive_get(\n"
+      "      this, target, std::vector<GetSeg>(segs.begin(), segs.end()), "
+      "done));\n",
+      "  rt_->spawn_task([this, target, done,\n"
+      "                   v = std::vector<GetSeg>(segs.begin(), segs.end())]"
+      "() mutable\n"
+      "                      -> sim::Co<void> {\n"
+      "    co_await scatter_get(target, std::move(v));\n"
+      "    done.set(0);\n"
+      "  }());\n");
+}
+
+TEST(LintMutation, D1ChtPollWindowOnHostClock) {
+  // The CHT's idle test reads the host clock instead of simulated time,
+  // so whether a request pays the wake-up depends on host speed.
+  expect_caught_by(
+      "D1", "src/armci/cht.cpp",
+      "    if (rt_->engine().now() - last_active_ > p.cht_poll_window) {\n",
+      "    const auto host_ns = std::chrono::duration_cast<\n"
+      "        std::chrono::nanoseconds>(\n"
+      "        std::chrono::steady_clock::now().time_since_epoch()).count();\n"
+      "    if (host_ns - last_active_ > p.cht_poll_window) {\n");
+}
+
+TEST(LintMutation, D2DependencyGraphEdgesInHashOrder) {
+  // Resource ids come from the interning order; rebuilding the edge list
+  // by walking the hash table hands each id some other edge.
+  expect_caught_by(
+      "D2", "src/core/dependency_graph.cpp",
+      "    return std::move(edges_);\n",
+      "    std::vector<DependencyGraph::Resource> edges;\n"
+      "    for (const auto& [key, id] : ids_) {\n"
+      "      edges.push_back({static_cast<NodeId>(key / n_),\n"
+      "                       static_cast<NodeId>(key % n_)});\n"
+      "    }\n"
+      "    return edges;\n");
+}
+
+TEST(LintMutation, D3QuiescenceCheckWalksBanksByAddress) {
+  // The first bank to fail the check, and so the abort, follows the
+  // allocator's addresses instead of node order.
+  expect_caught_by(
+      "D3", "src/armci/runtime.cpp",
+      "  for (const auto& bank : credit_banks_) {\n"
+      "    bank->check_quiescent(\"credit bank not quiescent after run\");\n",
+      "  std::set<const CreditBank*> banks;\n"
+      "  for (const auto& b : credit_banks_) banks.insert(b.get());\n"
+      "  for (const CreditBank* bank : banks) {\n"
+      "    bank->check_quiescent(\"credit bank not quiescent after run\");\n");
 }
 
 }  // namespace

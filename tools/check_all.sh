@@ -4,7 +4,8 @@
 #   1. Default-preset build + the full ctest suite (tier-1), then the
 #      same build and suite on a `git archive HEAD` export, so only
 #      committed files count.
-#   2. vtopo-lint over src/ and bench/ (tools/check_lint.sh).
+#   2. vtopo-lint over src/, bench/, perfbench/ and examples/
+#      (tools/check_lint.sh).
 #   3. Figure 5/6/7 identity: the FNV-golden guard binary, plus a
 #      byte-diff of two independent runs of each figure driver — the
 #      pipelines must be deterministic at the output-byte level, not

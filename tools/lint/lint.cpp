@@ -41,10 +41,6 @@ struct FileCtx {
   Annotations ann;
   bool rng_exempt = false;  ///< path matches src/sim/rng.* (rule D1)
   bool sharded_exempt = false;  ///< path matches sim/sharded_engine.* (S1)
-  bool cht_exempt = false;  ///< path matches armci/cht.* or
-                            ///< armci/qos_queue.* (rule Q1)
-  bool backend_exempt = false;  ///< path under src/sim/ or matches the
-                                ///< transport/backend seam files (B1)
 };
 
 // ---------------------------------------------------------------------
@@ -306,6 +302,14 @@ void rule_c1_functions(const FileCtx& f, Sink& sink) {
   }
 }
 
+/// A capturing coroutine lambda invoked where it is created:
+///   [captures](...) -> sim::Co<void> { ... }()
+/// Captures live in the closure object, not the coroutine frame, and
+/// this closure is a temporary that dies at the end of the
+/// full-expression while the frame it started keeps running. Every
+/// capture then dangles, by value as much as by reference. A stored
+/// closure (Runtime::spawn* keeps it in programs_) or a captureless one
+/// is safe.
 void rule_c1_lambdas(const FileCtx& f, Sink& sink) {
   const auto& t = f.toks;
   for (std::size_t i = 0; i < t.size(); ++i) {
@@ -317,30 +321,18 @@ void rule_c1_lambdas(const FileCtx& f, Sink& sink) {
                   is(t[i - 1], "]"))) {
       continue;
     }
-    // Capture list: scan to matching ']'.
+    // Capture list: scan to the matching ']'; an empty one has no
+    // closure state to dangle.
     std::size_t close = knpos;
     int depth = 0;
-    for (std::size_t k = i; k < t.size(); ++k) {
+    for (std::size_t k = i; k < t.size() && !is(t[k], ";"); ++k) {
       if (is(t[k], "[")) ++depth;
-      if (is(t[k], "]")) {
-        if (--depth == 0) {
-          close = k;
-          break;
-        }
-      }
-      if (is(t[k], ";") || is(t[k], "{")) break;
-    }
-    if (close == knpos) continue;
-    bool by_ref_capture = false;
-    for (std::size_t k = i + 1; k < close; ++k) {
-      if (is(t[k], "&") &&
-          (k + 1 == close || t[k + 1].kind == Token::kIdent ||
-           is(t[k + 1], ","))) {
-        by_ref_capture = true;
+      if (is(t[k], "]") && --depth == 0) {
+        close = k;
         break;
       }
     }
-    if (!by_ref_capture) continue;
+    if (close == knpos || close == i + 1) continue;
     // Must look like a lambda: followed by '(' params, '{' body, or
     // specifiers/trailing-return.
     std::size_t j = close + 1;
@@ -349,37 +341,29 @@ void rule_c1_lambdas(const FileCtx& f, Sink& sink) {
           is(t[j], "mutable") || is(t[j], "noexcept"))) {
       continue;
     }
-    // Find the body '{', remembering a trailing return type if present.
-    bool trailing_coro = false;
-    if (j < t.size() && is(t[j], "(")) j = skip_parens(t, j);
-    if (j == knpos) continue;
+    // Find the body '{', remembering a coroutine trailing return type.
+    bool coro = false;
+    if (is(t[j], "(")) j = skip_parens(t, j);
     while (j < t.size() && !is(t[j], "{")) {
-      if (match_coro_return_type(t, j) != knpos) {
-        trailing_coro = true;
-      }
+      if (match_coro_return_type(t, j) != knpos) coro = true;
       if (is(t[j], ";") || is(t[j], ")")) break;  // not a lambda body
       ++j;
     }
     if (j >= t.size() || !is(t[j], "{")) continue;
     const std::size_t body_end = skip_braces(t, j);
-    if (body_end == knpos) continue;
-    bool body_coro = false;
-    for (std::size_t k = j; k < body_end; ++k) {
-      if (t[k].kind == Token::kIdent &&
-          (t[k].text == "co_await" || t[k].text == "co_return" ||
-           t[k].text == "co_yield")) {
-        body_coro = true;
-        break;
-      }
+    if (body_end >= t.size() || !is(t[body_end], "(")) continue;
+    for (std::size_t k = j; k < body_end && !coro; ++k) {
+      coro = is(t[k], "co_await") || is(t[k], "co_return") ||
+             is(t[k], "co_yield");
     }
-    if (trailing_coro || body_coro) {
-      sink.report(
-          "C1", t[i].line, t[i].col,
-          "coroutine lambda captures by reference: captures live in the "
-          "closure object, not the frame — if the closure dies before "
-          "the coroutine finishes every by-ref capture dangles; capture "
-          "by value or use a named coroutine with value parameters");
-    }
+    if (!coro) continue;
+    sink.report(
+        "C1", t[i].line, t[i].col,
+        "capturing coroutine lambda invoked where it is created: the "
+        "closure is a temporary that dies at the end of the "
+        "full-expression while the coroutine frame keeps running, so "
+        "every capture dangles, by value or by reference; use a named "
+        "coroutine with value parameters");
   }
 }
 
@@ -425,113 +409,6 @@ void rule_s1(const FileCtx& f, Sink& sink) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Rule B1: direct engine construction outside the backend seam.
-// ---------------------------------------------------------------------
-
-void rule_b1(const FileCtx& f, Sink& sink) {
-  if (f.backend_exempt) return;
-  const auto& t = f.toks;
-  for (std::size_t i = 2; i < t.size(); ++i) {
-    if (t[i].kind != Token::kIdent ||
-        (t[i].text != "Engine" && t[i].text != "ShardedEngine")) {
-      continue;
-    }
-    if (!is(t[i - 1], "::") || !is(t[i - 2], "sim")) continue;
-    const std::string_view type = t[i].text;
-    bool constructs = false;
-    // new sim::Engine(...)
-    if (i >= 3 && is(t[i - 3], "new")) constructs = true;
-    // make_unique<sim::Engine>(...) / make_shared<...>
-    if (!constructs && i >= 4 && is(t[i - 3], "<") &&
-        t[i - 4].kind == Token::kIdent &&
-        (t[i - 4].text == "make_unique" || t[i - 4].text == "make_shared")) {
-      constructs = true;
-    }
-    // Declaration with automatic/member storage: "sim::Engine name" —
-    // a following '&', '*' or '>' is a reference/pointer/template
-    // argument, not a construction.
-    if (!constructs && i + 1 < t.size() && t[i + 1].kind == Token::kIdent) {
-      constructs = true;
-    }
-    if (!constructs) continue;
-    sink.report(
-        "B1", t[i].line, t[i].col,
-        "direct construction of 'sim::" + std::string(type) +
-            "' outside the backend seam: engines are an implementation "
-            "detail of the sim backend — construct an armci::Runtime "
-            "with Config::backend (or go through armci::Transport) so "
-            "the code stays backend-agnostic");
-  }
-}
-
-// ---------------------------------------------------------------------
-// Rule Q1: direct pushes into the CHT's class-aware request queue.
-// ---------------------------------------------------------------------
-
-/// Collect names declared with the CHT queue type ("QosQueue name",
-/// optionally namespace-qualified or behind a "using Alias = QosQueue"),
-/// project-wide: the member lives in cht.hpp, pushes could appear in any
-/// .cpp.
-void collect_qos_queue_names(const std::vector<Token>& t,
-                             std::set<std::string, std::less<>>& names,
-                             std::set<std::string, std::less<>>& types) {
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != Token::kIdent) continue;
-    const bool queue_here =
-        t[i].text == "QosQueue" || types.count(t[i].text) != 0;
-    if (!queue_here) continue;
-    // "using Alias = [armci::]QosQueue" — look behind, skipping
-    // namespace qualification.
-    std::size_t b = i;
-    while (b >= 2 && is(t[b - 1], "::") && t[b - 2].kind == Token::kIdent) {
-      b -= 2;
-    }
-    if (b >= 3 && is(t[b - 1], "=") && t[b - 2].kind == Token::kIdent &&
-        is(t[b - 3], "using")) {
-      types.insert(std::string(t[b - 2].text));
-    }
-    // Skip declarator decorations, then expect the declared name (a
-    // following '(' is a constructor/temporary, not a declaration).
-    std::size_t j = i + 1;
-    while (j < t.size() && (is(t[j], "*") || is(t[j], "&") ||
-                            is(t[j], "&&") || is(t[j], "const"))) {
-      ++j;
-    }
-    if (j < t.size() && t[j].kind == Token::kIdent &&
-        t[j].text != "operator") {
-      names.insert(std::string(t[j].text));
-    }
-  }
-}
-
-void rule_q1(const FileCtx& f,
-             const std::set<std::string, std::less<>>& qos_queue_names,
-             Sink& sink) {
-  if (f.cht_exempt) return;
-  const auto& t = f.toks;
-  for (std::size_t i = 0; i + 3 < t.size(); ++i) {
-    if (t[i].kind != Token::kIdent ||
-        qos_queue_names.count(t[i].text) == 0) {
-      continue;
-    }
-    if (!is(t[i + 1], ".") && !is(t[i + 1], "->")) continue;
-    const std::string_view method = t[i + 2].text;
-    if (t[i + 2].kind != Token::kIdent ||
-        (method != "push" && method != "enqueue")) {
-      continue;
-    }
-    if (!is(t[i + 3], "(")) continue;
-    sink.report(
-        "Q1", t[i].line, t[i].col,
-        "'" + std::string(t[i].text) + "." + std::string(method) +
-            "(...)' pushes into a CHT request queue directly, bypassing "
-            "the class-aware submit path (priority stamping, backlog "
-            "accounting, congestion feedback); route the request through "
-            "Cht::submit");
-  }
-}
-
 }  // namespace
 
 void Linter::add_file(std::string path, std::string content) {
@@ -552,13 +429,6 @@ std::vector<Diagnostic> Linter::run() {
     ctx.rng_exempt = f.path.find("sim/rng.") != std::string::npos;
     ctx.sharded_exempt =
         f.path.find("sim/sharded_engine.") != std::string::npos;
-    ctx.cht_exempt = f.path.find("armci/cht.") != std::string::npos ||
-                     f.path.find("armci/qos_queue.") != std::string::npos;
-    ctx.backend_exempt =
-        f.path.find("src/sim/") != std::string::npos ||
-        f.path.compare(0, 4, "sim/") == 0 ||
-        f.path.find("armci/transport.") != std::string::npos ||
-        f.path.find("armci/backend_") != std::string::npos;
     ctxs.push_back(std::move(ctx));
     // Tokenize after the move so Token::text views into storage that
     // lives as long as the context itself.
@@ -571,12 +441,9 @@ std::vector<Diagnostic> Linter::run() {
   // header, iteration in a .cpp).
   std::set<std::string, std::less<>> unordered_names;
   std::set<std::string, std::less<>> unordered_types;
-  std::set<std::string, std::less<>> qos_queue_names;
-  std::set<std::string, std::less<>> qos_queue_types;
   for (int round = 0; round < 2; ++round) {  // 2 rounds: aliases settle
     for (const auto& ctx : ctxs) {
       collect_unordered_names(ctx.toks, unordered_names, unordered_types);
-      collect_qos_queue_names(ctx.toks, qos_queue_names, qos_queue_types);
     }
   }
 
@@ -593,8 +460,6 @@ std::vector<Diagnostic> Linter::run() {
     rule_c1_functions(ctx, sink);
     rule_c1_lambdas(ctx, sink);
     rule_s1(ctx, sink);
-    rule_b1(ctx, sink);
-    rule_q1(ctx, qos_queue_names, sink);
   }
 
   // Pass C: flow rules (CFG + call graph) — R1, C2, L1.

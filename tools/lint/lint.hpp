@@ -19,17 +19,12 @@
 //   D3 pointer-order        — ordering containers/comparators keyed on
 //                             pointer values
 //   C1 coro-ref             — coroutine signatures that can bind dead
-//                             temporaries; by-ref captures in coroutine
-//                             lambdas
+//                             temporaries; capturing coroutine lambdas
+//                             invoked where they are created
 //   C2 suspension-lifetime  — element references and escaping by-ref
 //                             closures that live across a co_await
 //                             (flow-sensitive)
 //   S1 cross-shard          — scheduling directly on a shard facade
-//   Q1 qos-submit           — direct pushes into a QosQueue outside the
-//                             class-aware Cht::submit path
-//   B1 backend-seam         — direct sim::Engine / sim::ShardedEngine
-//                             construction outside src/sim and the
-//                             armci transport/backend files
 //   R1 credit-lease-pairing — path-sensitive acquire/release matching
 //                             for CreditBank leases and RequestPool/
 //                             PayloadArena handles (static twin of the
@@ -52,6 +47,12 @@
 
 namespace vtopo::lint {
 
+/// The directories a whole-tree lint covers, relative to the repository
+/// root: the CLI's default paths, which the lint_tree ctest and
+/// tools/check_lint.sh rely on, and the tree lint_mutation_test mutates.
+inline constexpr const char* kLintedDirs[] = {"src", "bench", "perfbench",
+                                              "examples"};
+
 /// One step of a CFG witness path attached to a diagnostic.
 struct TraceStep {
   std::string file;
@@ -61,7 +62,7 @@ struct TraceStep {
 };
 
 struct Diagnostic {
-  std::string rule;  ///< "D1".."Q1", "R1", "C2", "L1", "A0"
+  std::string rule;  ///< "D1".."S1", "R1", "C2", "L1", "A0"
   std::string file;
   int line = 0;
   int col = 0;  ///< 1-based; 0 when unknown

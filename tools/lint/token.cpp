@@ -13,7 +13,7 @@ constexpr std::pair<std::string_view, std::string_view> kRuleNames[] = {
     {"C1", "coro-ref"},
     {"C2", "suspension-lifetime"},
     {"S1", "cross-shard"},
-    {"Q1", "qos-submit"},
+    // Rule B1 is gone; its name stays so perfbench/'s allow() lines parse.
     {"B1", "backend-seam"},
     {"R1", "credit-lease-pairing"},
     {"L1", "lock-order"},
@@ -21,7 +21,7 @@ constexpr std::pair<std::string_view, std::string_view> kRuleNames[] = {
 
 constexpr std::string_view kRuleNameList =
     "nondeterminism, unordered-iter, pointer-order, coro-ref, "
-    "suspension-lifetime, cross-shard, qos-submit, backend-seam, "
+    "suspension-lifetime, cross-shard, backend-seam, "
     "credit-lease-pairing or lock-order";
 
 /// Parse "vtopo-lint:" directives out of one comment's text. `col0` is

@@ -1,7 +1,7 @@
 // Shared lexing layer for vtopo-lint: comment/literal blanking,
 // annotation harvesting, tokenization, and balanced-delimiter walking.
 //
-// Every analysis in the linter — the token-shape rules (D1..Q1), the
+// Every analysis in the linter — the token-shape rules (D1..S1), the
 // control-flow engine (cfg.hpp) and the flow rules built on it
 // (flow_rules.hpp) — consumes the same Token stream, so line/column
 // attribution is consistent across rule families. The blanked buffer

@@ -2,16 +2,17 @@
 //
 //   vtopo_lint [--root DIR] [path...]
 //
-// Paths (default: "src bench") are files or directories, resolved
-// relative to --root (default: current directory). Directories are
-// walked recursively for .hpp/.h/.cpp/.cc files in sorted order, so
-// output is deterministic.
+// Paths (default: kLintedDirs, "src bench perfbench examples") are files
+// or directories, resolved relative to --root (default: current
+// directory). Directories are walked recursively for .hpp/.h/.cpp/.cc
+// files in sorted order, so output is deterministic.
 //
 // Exit status: 0 clean, 1 violations found, 2 usage or I/O error.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,7 +60,10 @@ int main(int argc, char** argv) {
       paths.push_back(arg);
     }
   }
-  if (paths.empty()) paths = {"src", "bench"};
+  if (paths.empty()) {
+    paths.assign(std::begin(vtopo::lint::kLintedDirs),
+                 std::end(vtopo::lint::kLintedDirs));
+  }
 
   std::vector<fs::path> found;
   for (const auto& p : paths) {
