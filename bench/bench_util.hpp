@@ -1,8 +1,6 @@
 // Shared helpers for the figure-reproduction benches.
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
@@ -12,87 +10,6 @@
 #include <vector>
 
 namespace vtopo::bench {
-
-/// Tail-percentile summary of a sample set (p50/p99/p999 and friends).
-/// Accumulate with add()/add_all(), query with percentile(). Uses the
-/// exact linear-interpolation formula of sim::Series::percentile, so a
-/// bench that mixes Series-derived numbers with its own stays
-/// consistent: sort ascending, pos = p/100 * (n-1), interpolate between
-/// floor(pos) and the next sample. Empty set reports 0.
-class Percentiles {
- public:
-  void reserve(std::size_t n) { samples_.reserve(n); }
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-  void add_all(const std::vector<double>& xs) {
-    samples_.insert(samples_.end(), xs.begin(), xs.end());
-    sorted_ = false;
-  }
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-
-  [[nodiscard]] double percentile(double p) {
-    if (samples_.empty()) return 0.0;
-    if (!sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
-    }
-    if (samples_.size() == 1) return samples_.front();
-    const double clamped = std::min(std::max(p, 0.0), 100.0);
-    const double pos =
-        clamped / 100.0 * static_cast<double>(samples_.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return samples_[lo] + frac * (samples_[hi] - samples_[lo]);
-  }
-  [[nodiscard]] double p50() { return percentile(50.0); }
-  [[nodiscard]] double p99() { return percentile(99.0); }
-  [[nodiscard]] double p999() { return percentile(99.9); }
-  [[nodiscard]] double max() {
-    return samples_.empty() ? 0.0 : percentile(100.0);
-  }
-
- private:
-  std::vector<double> samples_;
-  bool sorted_ = false;
-};
-
-/// Wall-clock section timer for real-execution benches (the threads
-/// backend runs in real time, so its latencies are measured with
-/// steady_clock rather than read off the simulated clock). lap()
-/// returns the nanoseconds since construction or the previous lap and
-/// feeds them into an optional Percentiles accumulator, so a bench can
-/// mix wall-clock laps with Series-derived numbers consistently.
-// vtopo-lint: allow-file(nondeterminism) -- wall-clock measurement is this helper's entire purpose; it never feeds simulated state
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()), last_(start_) {}
-
-  /// Nanoseconds since construction.
-  [[nodiscard]] double elapsed_ns() const {
-    return std::chrono::duration<double, std::nano>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-  [[nodiscard]] double elapsed_sec() const { return elapsed_ns() * 1e-9; }
-
-  /// Nanoseconds since the previous lap (or construction), optionally
-  /// recorded into `sink`.
-  double lap(Percentiles* sink = nullptr) {
-    const auto now = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(now - last_).count();
-    last_ = now;
-    if (sink != nullptr) sink->add(ns);
-    return ns;
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-  std::chrono::steady_clock::time_point last_;
-};
 
 /// Minimal flag parser: --key value / --flag.
 class Args {

@@ -123,12 +123,12 @@ inline void run_contention_figure(const char* figure,
           append_format(out.text,
                         "# class n p50_us p99_us p999_us (op latency)\n");
           for (std::size_t c = 0; c < armci::kNumPriorities; ++c) {
-            Percentiles pct;
-            pct.add_all(res.class_lat_us[c]);
-            if (pct.count() == 0) continue;
+            sim::Series lat;
+            for (const double us : res.class_lat_us[c]) lat.add(us);
+            if (lat.empty()) continue;
             append_format(out.text, "# %-8s %zu %.2f %.2f %.2f\n",
-                          kClsName[c], pct.count(), pct.p50(), pct.p99(),
-                          pct.p999());
+                          kClsName[c], lat.size(), lat.median(),
+                          lat.percentile(99), lat.percentile(99.9));
           }
         }
         return out;

@@ -84,9 +84,7 @@ RatePoint run_rate(double rate, bool quick) {
       static_cast<double>(expected) / sim::to_sec(last_done);
   pt.median_us = lat.median();
   pt.p99_us = lat.percentile(99);
-  bench::Percentiles pct;
-  pct.add_all(lat.samples());
-  pt.p999_us = pct.p999();
+  pt.p999_us = lat.percentile(99.9);
   pt.max_us = lat.max();
   pt.retries = rt.stats().retries;
   pt.dropped = rt.stats().msgs_dropped;

@@ -28,6 +28,7 @@
 #include "sim/engine.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/rng.hpp"
+#include "sim/stats.hpp"
 #include "sim/time.hpp"
 #include "workloads/contention.hpp"
 
@@ -86,8 +87,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 // The measured event mix mirrors what the simulator actually generates:
 // timed events (network arrivals, sleeps) interleaved with zero-delay
-// hand-offs (coroutine resumptions — every AsyncQueue push, Future
-// fulfilment, and Semaphore release schedules at the current time).
+// hand-offs (coroutine resumptions — every CHT queue wake-up and Future
+// fulfilment schedules at the current time).
 // Each timer firing spawns a two-deep resume chain and reschedules
 // itself, so two thirds of the executed events are same-time hand-offs.
 // Captures are three words, the size of a typical event callback.
@@ -228,8 +229,8 @@ ShardedPath measure_sharded_path(std::int64_t total_ops, int shards,
 /// std::thread transport (one worker per node, real shared-memory
 /// copies). Its 17 workers oversubscribe a host with fewer cores, where
 /// every worker parks instead of spinning. Latency here is wall-clock
-/// end-to-end per op, collected per process and summarized with the
-/// shared Percentiles helper — these are REAL nanoseconds, not
+/// end-to-end per op, collected per process and summarized with
+/// sim::Series — these are REAL nanoseconds, not
 /// simulated ones, so they are host-dependent and not comparable to the
 /// sim sections above (see docs/performance.md).
 struct ThreadsPath {
@@ -257,7 +258,7 @@ ThreadsPath measure_threads_path(std::int64_t total_ops) {
   // driver reads them after run_all()'s join.
   auto lat = std::make_shared<std::vector<std::vector<double>>>(
       static_cast<std::size_t>(rt.num_procs()));
-  vtopo::bench::WallTimer run_timer;
+  const auto start = std::chrono::steady_clock::now();
   rt.spawn_all([off, per_proc, lat](vtopo::armci::Proc& p)
                    -> vtopo::sim::Co<void> {
     (*lat)[static_cast<std::size_t>(p.id())].reserve(
@@ -276,14 +277,16 @@ ThreadsPath measure_threads_path(std::int64_t total_ops) {
   r.nodes = rt.num_nodes();
   r.procs = rt.num_procs();
   r.ops = static_cast<std::int64_t>(per_proc) * rt.num_procs();
-  r.wall_sec = run_timer.elapsed_sec();
+  r.wall_sec = seconds_since(start);
   r.ops_per_sec = static_cast<double>(r.ops) / r.wall_sec;
-  vtopo::bench::Percentiles pct;
-  for (const auto& v : *lat) pct.add_all(v);
-  r.p50_ns = pct.p50();
-  r.p99_ns = pct.p99();
-  r.p999_ns = pct.p999();
-  r.max_ns = pct.max();
+  vtopo::sim::Series all;
+  for (const auto& v : *lat) {
+    for (const double ns : v) all.add(ns);
+  }
+  r.p50_ns = all.median();
+  r.p99_ns = all.percentile(99);
+  r.p999_ns = all.percentile(99.9);
+  r.max_ns = all.max();
   return r;
 }
 

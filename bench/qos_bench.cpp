@@ -43,13 +43,11 @@ struct ClassStats {
 ClassStats class_stats(armci::Runtime& rt, armci::Priority cls) {
   const sim::Series& s =
       rt.tracer().series(armci::class_latency_kind(cls));
-  bench::Percentiles pct;
-  pct.add_all(s.samples());
   ClassStats out;
-  out.n = pct.count();
-  out.p50_us = pct.p50();
-  out.p99_us = pct.p99();
-  out.p999_us = pct.p999();
+  out.n = s.size();
+  out.p50_us = s.median();
+  out.p99_us = s.percentile(99);
+  out.p999_us = s.percentile(99.9);
   return out;
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "sim/stats.hpp"
 #include "svc/service.hpp"
 
 using namespace vtopo;
@@ -67,11 +68,11 @@ InterferenceOut run_interference(core::PartitionPolicy policy, bool quick) {
   sc.policy = policy;
 
   auto probe_p99 = [](const svc::JobResult& r) {
-    bench::Percentiles p;
+    sim::Series lat;
     for (const double us : r.latencies) {
-      if (us >= 0) p.add(us);
+      if (us >= 0) lat.add(us);
     }
-    return p.p99();
+    return lat.percentile(99);
   };
 
   InterferenceOut out;
@@ -140,7 +141,7 @@ ThroughputOut run_throughput(core::PartitionPolicy policy, bool quick) {
   const svc::ServiceReport rep = service.run(mix);
 
   ThroughputOut out;
-  bench::Percentiles waits;
+  sim::Series waits;
   for (const auto& r : rep.results) {
     if (r.rejected) continue;
     waits.add(static_cast<double>(r.queue_wait()) / 1e6);

@@ -105,7 +105,6 @@ sim::Co<bool> AdaptiveController::maybe_reconfigure(
   profile.mem.buffer_bytes = rt_->params().buffer_bytes;
   profile.mem.buffers_per_process = rt_->params().buffers_per_process;
   const core::Recommendation rec = core::recommend_topology(profile);
-  rationale_ = rec.rationale;
 
   if (rec.kind == rt_->topology().kind()) {
     decision << " -> hold " << core::to_string(rec.kind);

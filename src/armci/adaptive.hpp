@@ -81,10 +81,6 @@ class AdaptiveController {
       std::optional<double> next_hotspot = std::nullopt);
 
   [[nodiscard]] const Sample& last_sample() const { return last_sample_; }
-  /// Recommender rationale from the most recent boundary.
-  [[nodiscard]] const std::string& last_rationale() const {
-    return rationale_;
-  }
   /// One entry per boundary decision, e.g. "phase window: hotspot=0.48
   /// -> mfcg (switched)".
   [[nodiscard]] const std::vector<std::string>& decisions() const {
@@ -110,7 +106,6 @@ class AdaptiveController {
   sim::TimeNs prev_blocked_ = 0;
   std::uint64_t prev_retries_ = 0;
   Sample last_sample_{};
-  std::string rationale_;
   std::vector<std::string> decisions_;
   int switches_ = 0;
   int qos_retunes_ = 0;

@@ -11,12 +11,10 @@
 //
 // Storage is dense: one slot per topology out-neighbor, sized at
 // construction from the neighbor list, so the per-send credit probe is a
-// binary search over a sorted NodeId array plus an int decrement — no
-// hash, no per-pool Semaphore object, no double indirection. Waiting
+// binary search over a sorted NodeId array plus an int decrement. Waiting
 // coroutines queue FIFO through a waiter arena shared by all slots of
 // the bank; release() hands the credit straight to the oldest waiter
-// (count unchanged), preserving the exact fairness and event-scheduling
-// semantics of the Semaphore-based implementation.
+// (count unchanged) and schedules its resumption at the current time.
 #pragma once
 
 #include <algorithm>

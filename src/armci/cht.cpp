@@ -289,7 +289,7 @@ void Cht::execute(const RequestPtr& r) {
       resp.value = mem.swap_i64(r->addr, r->imm);
       break;
     case OpCode::kLock: {
-      LockState& ls = locks_.get(r->target_proc, r->mutex_id);
+      LockState& ls = locks_[{r->target_proc, r->mutex_id}];
       if (ls.held) {
         // Absorb into the waiter queue; the buffer is still released
         // below, and the grant response is sent at unlock time.
@@ -305,7 +305,7 @@ void Cht::execute(const RequestPtr& r) {
       break;
     }
     case OpCode::kUnlock: {
-      LockState& ls = locks_.get(r->target_proc, r->mutex_id);
+      LockState& ls = locks_[{r->target_proc, r->mutex_id}];
       assert(ls.held && ls.holder == r->origin_proc &&
              "unlock by non-holder");
       if (!ls.waiters.empty()) {

@@ -13,10 +13,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <map>
+#include <utility>
 #include <vector>
 
-#include "armci/lock_table.hpp"
 #include "armci/qos_queue.hpp"
 #include "armci/request.hpp"
 #include "sim/task.hpp"
@@ -51,6 +53,13 @@ class Cht {
   [[nodiscard]] sim::TimeNs busy_ns() const { return busy_ns_; }
 
  private:
+  /// State of one simulated ARMCI mutex.
+  struct LockState {
+    bool held = false;
+    ProcId holder = -1;
+    std::deque<RequestPtr> waiters;
+  };
+
   /// One remembered completion of a non-idempotent request, keyed by its
   /// idempotent sequence number (origin process, request id).
   struct DedupEntry {
@@ -76,7 +85,8 @@ class Cht {
   Runtime* rt_;
   core::NodeId node_;
   QosQueue queue_;
-  LockTable locks_;
+  /// Mutexes hosted here, keyed by (owner process, mutex id).
+  std::map<std::pair<ProcId, std::int32_t>, LockState> locks_;
   sim::TimeNs last_active_ = std::numeric_limits<sim::TimeNs>::min() / 4;
   std::uint64_t last_aged_ = 0;  ///< queue_.aged_promotions() last synced
   std::uint64_t handled_ = 0;

@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "armci/arena.hpp"
 #include "armci/cht.hpp"
 #include "armci/runtime.hpp"
 
@@ -55,10 +54,9 @@ sim::Co<void> Proc::put(GAddr dst, std::span<const std::uint8_t> src) {
     co_return;
   }
   // Data lands at the simulated arrival instant; the blocking call
-  // conservatively returns at remote completion. The staging buffer is a
-  // recycled arena chunk moved into the arrival event.
-  PayloadArena::Ref data = rt_->payload_arena().acquire(src.size());
-  std::memcpy(data.data(), src.data(), src.size());
+  // conservatively returns at remote completion. The staged copy is
+  // moved into the arrival event.
+  std::vector<std::uint8_t> data(src.begin(), src.end());
   const std::int64_t wire =
       p.rdma_header_bytes + static_cast<std::int64_t>(src.size());
   GlobalMemory& mem = rt_->memory();
@@ -73,7 +71,7 @@ sim::Co<void> Proc::put(GAddr dst, std::span<const std::uint8_t> src) {
         node_, tnode, wire, rt_->proc_stream(id_),
         // vtopo-lint: allow(suspension-lifetime) -- mem aliases the runtime-owned GlobalMemory, which outlives this frame
         [&mem, dst, data = std::move(data)]() mutable {
-          mem.write(dst, data.view());
+          mem.write(dst, data);
         },
         [done]() mutable { done.set(0); });
     co_await done;
@@ -83,7 +81,7 @@ sim::Co<void> Proc::put(GAddr dst, std::span<const std::uint8_t> src) {
     eng.schedule_at(arrival,
                     // vtopo-lint: allow(suspension-lifetime) -- mem aliases the runtime-owned GlobalMemory, not a frame local
                     [&mem, dst, data = std::move(data)]() mutable {
-      mem.write(dst, data.view());
+      mem.write(dst, data);
     });
     co_await sim::Sleep(eng, arrival - eng.now());
   }
@@ -133,9 +131,8 @@ sim::Co<void> Proc::get(std::span<std::uint8_t> dst, GAddr src) {
     rt->network().deliver(
         onode, tnode, hdr, stream,
         [rt, src, onode, tnode, stream, nbytes, out, hdr, done]() mutable {
-          PayloadArena::Ref data =
-              rt->payload_arena().acquire(static_cast<std::size_t>(nbytes));
-          rt->memory().read(data.mutable_view(), src);
+          std::vector<std::uint8_t> data(static_cast<std::size_t>(nbytes));
+          rt->memory().read(data, src);
           rt->network().deliver(
               tnode, onode, hdr + nbytes, stream,
               [out, nbytes, data = std::move(data), done]() mutable {
@@ -150,8 +147,8 @@ sim::Co<void> Proc::get(std::span<std::uint8_t> dst, GAddr src) {
     // back.
     co_await rt_->network().transfer(node_, tnode, p.rdma_header_bytes,
                                      rt_->proc_stream(id_));
-    PayloadArena::Ref data = rt_->payload_arena().acquire(dst.size());
-    rt_->memory().read(data.mutable_view(), src);
+    std::vector<std::uint8_t> data(dst.size());
+    rt_->memory().read(data, src);
     co_await rt_->network().transfer(
         tnode, node_,
         p.rdma_header_bytes + static_cast<std::int64_t>(dst.size()),

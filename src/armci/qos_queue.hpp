@@ -1,13 +1,12 @@
 // Class-aware CHT request queue.
 //
-// Replaces the CHT's single sim::AsyncQueue with three per-class FIFOs
-// plus a weighted deficit-round-robin dequeue and slack-estimated aging.
-// The consumer-parking protocol is copied from sim::AsyncQueue verbatim
-// (one schedule_after(0) per push-with-parked-consumer), and with QoS
-// disabled the selection degenerates to "pop the globally oldest entry"
-// — three FIFOs whose heads are compared by push sequence number are a
-// single FIFO — so the disabled path schedules the exact same events as
-// the old queue and the figure goldens stay byte-identical.
+// Three per-class FIFOs plus a weighted deficit-round-robin dequeue and
+// slack-estimated aging. A single consumer (the CHT's service loop)
+// parks while the queue is empty; a push that finds it parked schedules
+// one schedule_after(0) wake-up. With QoS disabled the selection
+// degenerates to "pop the globally oldest entry" — three FIFOs whose
+// heads are compared by push sequence number are a single FIFO — which
+// is the event stream the figure goldens pin.
 //
 // Shutdown poison is a flag, not a queued item: it is delivered only
 // once every class deque has drained, which both keeps the weighted

@@ -109,7 +109,6 @@ void Runtime::init() {
     ShardSlot& slot = shard_slots_.emplace_back();
     if (sharded_ != nullptr) {
       slot.pool.bind_shard(sharded_.get(), s);
-      slot.arena.bind_shard(sharded_.get(), s);
     } else {
       slot.pool.bind_realtime(&transport_->engine_for_node(s), s);
     }
@@ -246,7 +245,6 @@ void Runtime::fold_slots() {
     const ShardSlot& slot = shard_slots_[static_cast<std::size_t>(sh)];
     d.pool_parked = slot.pool.parked();
     d.pool_created = slot.pool.created();
-    d.arena_chunks = static_cast<std::size_t>(slot.arena.created());
   }
 }
 

@@ -20,7 +20,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "armci/arena.hpp"
 #include "armci/buffers.hpp"
 #include "armci/congestion.hpp"
 #include "armci/memory.hpp"
@@ -52,7 +51,6 @@ struct ShardMemStats {
   std::size_t mailbox_peak = 0;   ///< max cross-shard mail in one drain
   std::size_t pool_parked = 0;    ///< requests parked in the shard pool
   std::uint64_t pool_created = 0; ///< requests heap-built by the shard
-  std::size_t arena_chunks = 0;   ///< payload chunks built by the shard
   std::uint64_t events = 0;       ///< events the shard executed
 };
 
@@ -276,12 +274,6 @@ class Runtime {
     if (ShardSlot* s = context_slot()) return s->pool;
     return request_pool_;
   }
-  /// Chunk arena staging direct put/get payload bytes (shard-local,
-  /// like the request pool).
-  [[nodiscard]] PayloadArena& payload_arena() {
-    if (ShardSlot* s = context_slot()) return s->arena;
-    return payload_arena_;
-  }
 
   /// Spawn `program` as the body of process `p`. The callable (and any
   /// lambda captures) is kept alive by the Runtime until destruction —
@@ -398,10 +390,6 @@ class Runtime {
   /// the protocol schedules the exact same events as a build without the
   /// fault subsystem (byte-identical figures).
   [[nodiscard]] bool faults_armed() const { return injector_ != nullptr; }
-  /// The injector, or null when disarmed.
-  [[nodiscard]] sim::FaultInjector* fault_injector() {
-    return injector_.get();
-  }
 
   /// Node currently crashed (its NIC drops arriving protocol messages)?
   [[nodiscard]] bool node_down(core::NodeId n) const {
@@ -464,7 +452,6 @@ class Runtime {
     RuntimeStats stats;
     OpTracer tracer;
     RequestPool pool;
-    PayloadArena arena;
     std::int64_t live = 0;
     std::int64_t inflight = 0;
   };
@@ -561,12 +548,11 @@ class Runtime {
   GlobalMemory memory_;
   TopologyManager topo_mgr_;
   net::Network network_;
-  // Declared before the actors so the pools outlive every RequestPtr and
-  // arena Ref still parked in CHT lock queues at teardown. The per-shard
-  // slots (a deque: slots must not move under workers' references) live
-  // here for the same lifetime reason.
+  // Declared before the actors so the pools outlive every RequestPtr
+  // still parked in CHT lock queues at teardown. The per-shard slots (a
+  // deque: slots must not move under workers' references) live here for
+  // the same lifetime reason.
   RequestPool request_pool_;
-  PayloadArena payload_arena_;
   std::deque<ShardSlot> shard_slots_;
   std::vector<std::unique_ptr<Cht>> chts_;
   std::vector<std::unique_ptr<CreditBank>> credit_banks_;

@@ -108,7 +108,7 @@ class Transport {
   virtual void drive_until(sim::TimeNs deadline) = 0;
   void drive() { drive_until(kForever); }
 
-  /// Per-context stats/pool/arena slots the runtime keeps (0 = only its
+  /// Per-context stats/tracer/pool slots the runtime keeps (0 = only its
   /// main members), and the slot of the calling context (-1 = main).
   [[nodiscard]] virtual int num_slots() const = 0;
   [[nodiscard]] virtual int context_slot() const = 0;

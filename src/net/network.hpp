@@ -144,11 +144,6 @@ class Network {
     return routes_cached_;
   }
 
-  /// Slots in the direct-mapped route cache (bounded; see RouteSlot).
-  [[nodiscard]] std::size_t route_cache_slots() const {
-    return route_cache_.size();
-  }
-
   /// Torus hop distance between the slots hosting two nodes.
   [[nodiscard]] int hop_count(core::NodeId src, core::NodeId dst) const;
 
@@ -175,10 +170,6 @@ class Network {
   /// Serialization multiplier for src -> dst (1.0 when unfaulted).
   [[nodiscard]] double edge_degrade(core::NodeId src,
                                     core::NodeId dst) const;
-  /// Number of faulted pairs right now.
-  [[nodiscard]] std::size_t faulted_edges() const {
-    return edge_faults_.size();
-  }
 
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_total_; }
@@ -196,7 +187,6 @@ class Network {
   void enable_link_census() {
     census_.assign(static_cast<std::size_t>(fabric_->torus.num_links()), 0);
   }
-  [[nodiscard]] bool link_census_enabled() const { return !census_.empty(); }
   /// Crossing counts per fabric LinkId (empty unless enabled).
   [[nodiscard]] const std::vector<std::uint64_t>& link_census() const {
     return census_;

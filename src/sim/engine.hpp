@@ -97,7 +97,6 @@ class Engine {
 
   /// Install (or clear) the shard routing hook. Sharded-engine internal.
   void install_hook(ShardHook* hook) { hook_ = hook; }
-  [[nodiscard]] bool hooked() const { return hook_ != nullptr; }
 
   /// Mark this engine as a wall-clock (threads-backend) facade. Completion
   /// sources that share state across real threads (sim::Future) switch to
@@ -110,11 +109,6 @@ class Engine {
   /// Force the clock. Sharded-engine internal: facades mirror their
   /// shard's window clock instead of advancing via step().
   void set_now(TimeNs t) { now_ = t; }
-
-  /// Slot-pool high-water mark (memory accounting).
-  [[nodiscard]] std::size_t heap_slot_capacity() const {
-    return slots_.size();
-  }
 
   /// Run until the event queue drains. Returns the final simulated time.
   TimeNs run() {

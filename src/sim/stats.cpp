@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 namespace vtopo::sim {
 
@@ -57,24 +56,6 @@ double Series::percentile(double p) const {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-void Log2Histogram::add(std::int64_t v) {
-  int bucket = 0;
-  if (v > 1) {
-    bucket = 63 - __builtin_clzll(static_cast<unsigned long long>(v));
-  }
-  buckets_[static_cast<std::size_t>(bucket)]++;
-  ++total_;
-}
-
-std::string Log2Histogram::to_string() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    os << "[2^" << i << ", 2^" << i + 1 << "): " << buckets_[i] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace vtopo::sim

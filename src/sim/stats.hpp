@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace vtopo::sim {
@@ -59,22 +57,6 @@ class Series {
 
  private:
   std::vector<double> samples_;
-};
-
-/// Fixed-bucket log2 histogram for latency distributions (ns scale).
-class Log2Histogram {
- public:
-  void add(std::int64_t v);
-  [[nodiscard]] std::size_t count() const { return total_; }
-  /// Bucket i counts values in [2^i, 2^(i+1)); bucket 0 also holds <=1.
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const {
-    return buckets_;
-  }
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  std::vector<std::uint64_t> buckets_ = std::vector<std::uint64_t>(64, 0);
-  std::size_t total_ = 0;
 };
 
 }  // namespace vtopo::sim

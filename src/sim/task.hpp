@@ -10,15 +10,14 @@
 // `Co<T>` is a lazily-started coroutine that resumes its awaiter by
 // symmetric transfer when it finishes; `spawn()` detaches a root Co<void>
 // onto the engine. Suspension points never resume recursively through
-// arbitrary caller stacks: completion sources (Future, Semaphore, sleep)
-// schedule resumption as engine events at the current simulated time.
+// arbitrary caller stacks: completion sources (Future, Sleep) schedule
+// resumption as engine events.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -312,52 +311,6 @@ class Future {
     mutable std::atomic_flag lk = ATOMIC_FLAG_INIT;
   };
   std::shared_ptr<State> st_;
-};
-
-/// Counting semaphore with FIFO hand-off: release() while waiters queue is
-/// non-empty hands the token to the oldest waiter directly, so ordering is
-/// fair and deterministic. Models finite resource pools (request buffers).
-class Semaphore {
- public:
-  Semaphore(Engine& eng, std::int64_t initial)
-      : eng_(&eng), count_(initial) {}
-
-  [[nodiscard]] std::int64_t available() const { return count_; }
-  [[nodiscard]] std::size_t waiters() const { return waiters_.size(); }
-
-  auto acquire() {
-    struct Awaiter {
-      Semaphore* sem;
-      bool await_ready() const {
-        if (sem->count_ > 0) {
-          --sem->count_;
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        sem->waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this};
-  }
-
-  void release() {
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      // Token is handed straight to the waiter; count_ stays unchanged.
-      eng_->schedule_after(0, [h] { h.resume(); });
-    } else {
-      ++count_;
-    }
-  }
-
- private:
-  Engine* eng_;
-  std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace vtopo::sim

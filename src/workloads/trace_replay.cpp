@@ -164,8 +164,8 @@ TraceResult replay_trace(const ClusterConfig& cluster,
     }
   }
 
-  sim::Engine eng;
-  armci::Runtime rt(eng, cluster.runtime_config());
+  ClusterHandle handle(cluster);
+  armci::Runtime& rt = handle.rt();
   arm_reconfigure(rt, cluster);
   auto st = std::make_shared<Shared>();
   st->per_proc.resize(static_cast<std::size_t>(rt.num_procs()));
@@ -184,7 +184,7 @@ TraceResult replay_trace(const ClusterConfig& cluster,
   rt.run_all();
 
   TraceResult out;
-  out.exec_time_sec = sim::to_sec(eng.now());
+  out.exec_time_sec = handle.elapsed_sec();
   out.stats = rt.stats();
   out.ops_executed = static_cast<std::int64_t>(ops.size());
   return out;

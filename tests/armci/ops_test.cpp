@@ -2,8 +2,11 @@
 // topologies: whatever the routing, data must land intact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "armci/proc.hpp"
@@ -276,6 +279,136 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TopologyKind>& info) {
       return core::to_string(info.param);
     });
+
+// ---------------------------------------------------------------------
+// When a direct put/get on the legacy engine takes its copy of the
+// bytes. Each op is issued at t = 0, so its first message leaves when
+// the issue overhead ends; the times below come from replaying that
+// message on a fresh twin runtime.
+// ---------------------------------------------------------------------
+
+constexpr ProcId kOrigin = 3;   // node 1
+constexpr ProcId kTarget = 20;  // node 10
+constexpr std::size_t kBytes = 64;
+
+std::uint8_t first_byte(Runtime& rt, GAddr addr) {
+  std::uint8_t b = 0;
+  rt.memory().read({&b, 1}, addr);
+  return b;
+}
+
+/// At simulated time `at`, run `fn`: a host-side write to memory the op
+/// under test is moving.
+sim::Co<void> at_time(Runtime* rt, sim::TimeNs at, std::function<void()> fn) {
+  co_await sim::Sleep(rt->engine(), at - rt->now());
+  fn();
+}
+
+/// Arrival instant of the op's first message: `payload` bytes plus the
+/// RDMA header from kOrigin's node to kTarget's, on kOrigin's stream.
+sim::TimeNs first_message_arrival(std::int64_t payload) {
+  sim::Engine eng;
+  Runtime rt(eng, small_config(TopologyKind::kFcg));
+  const ArmciParams& p = rt.params();
+  sim::TimeNs arrival = -1;
+  rt.spawn_task(at_time(&rt, p.proc_op_overhead, [&rt, &p, &arrival, payload] {
+    arrival = rt.network().send(rt.node_of(kOrigin), rt.node_of(kTarget),
+                                p.rdma_header_bytes + payload,
+                                rt.proc_stream(kOrigin));
+  }));
+  rt.run_all();
+  return arrival;
+}
+
+/// Put kBytes of 0xAA, overwriting the caller's source buffer with 0xBB
+/// at `rewrite_at`. Returns the first target byte and the put's
+/// completion time.
+std::pair<std::uint8_t, sim::TimeNs> put_with_source_rewrite(
+    sim::TimeNs rewrite_at) {
+  sim::Engine eng;
+  Runtime rt(eng, small_config(TopologyKind::kFcg));
+  const auto off = rt.memory().alloc_all(kBytes);
+  std::vector<std::uint8_t> src(kBytes, 0xAA);
+  sim::TimeNs done = -1;
+  rt.spawn(kOrigin, [off, &src, &done](Proc& p) -> sim::Co<void> {
+    co_await p.put(GAddr{kTarget, off}, src);
+    done = p.runtime().now();
+  });
+  rt.spawn_task(at_time(&rt, rewrite_at, [&src] {
+    std::fill(src.begin(), src.end(), std::uint8_t{0xBB});
+  }));
+  rt.run_all();
+  return {first_byte(rt, GAddr{kTarget, off}), done};
+}
+
+TEST(DirectStaging, PutCopiesTheSourceWhenItStages) {
+  const sim::TimeNs staged = ArmciParams{}.proc_op_overhead;
+  // Rewritten before the put stages: the new bytes travel.
+  EXPECT_EQ(put_with_source_rewrite(staged - 1).first, 0xBB);
+  // Rewritten while the put is in flight: the staged copy travels.
+  const auto [byte, done] = put_with_source_rewrite(staged + 1);
+  EXPECT_EQ(byte, 0xAA);
+  EXPECT_GT(done, staged + 1);
+}
+
+TEST(DirectStaging, PutBytesLandAtTheArrivalInstant) {
+  const sim::TimeNs arrival = first_message_arrival(kBytes);
+  sim::Engine eng;
+  Runtime rt(eng, small_config(TopologyKind::kFcg));
+  const auto off = rt.memory().alloc_all(kBytes);
+  sim::TimeNs done = -1;
+  rt.spawn(kOrigin, [off, &done](Proc& p) -> sim::Co<void> {
+    const std::vector<std::uint8_t> src(kBytes, 0xAA);
+    co_await p.put(GAddr{kTarget, off}, src);
+    done = p.runtime().now();
+  });
+  std::uint8_t before = 0xFF;
+  rt.spawn_task(at_time(&rt, arrival - 1, [&rt, off, &before] {
+    before = first_byte(rt, GAddr{kTarget, off});
+  }));
+  rt.run_all();
+  EXPECT_EQ(before, 0x00);
+  EXPECT_EQ(first_byte(rt, GAddr{kTarget, off}), 0xAA);
+  // The blocking put returns at remote completion: the arrival itself.
+  EXPECT_EQ(done, arrival);
+}
+
+/// Get kBytes from a target holding 0x11, overwriting the target with
+/// 0x22 at `overwrite_at`. Returns the first byte read and the get's
+/// completion time.
+std::pair<std::uint8_t, sim::TimeNs> get_with_target_overwrite(
+    sim::TimeNs overwrite_at) {
+  sim::Engine eng;
+  Runtime rt(eng, small_config(TopologyKind::kFcg));
+  const auto off = rt.memory().alloc_all(kBytes);
+  rt.memory().write(GAddr{kTarget, off},
+                    std::vector<std::uint8_t>(kBytes, 0x11));
+  std::uint8_t got = 0;
+  sim::TimeNs done = -1;
+  rt.spawn(kOrigin, [off, &got, &done](Proc& p) -> sim::Co<void> {
+    std::vector<std::uint8_t> dst(kBytes);
+    co_await p.get(dst, GAddr{kTarget, off});
+    got = dst[0];
+    done = p.runtime().now();
+  });
+  rt.spawn_task(at_time(&rt, overwrite_at, [&rt, off] {
+    rt.memory().write(GAddr{kTarget, off},
+                      std::vector<std::uint8_t>(kBytes, 0x22));
+  }));
+  rt.run_all();
+  return {got, done};
+}
+
+TEST(DirectStaging, GetReadsTheTargetAtDescriptorArrival) {
+  const sim::TimeNs descriptor = first_message_arrival(0);
+  // Overwritten before the descriptor arrives: the get sees it.
+  EXPECT_EQ(get_with_target_overwrite(descriptor - 1).first, 0x22);
+  // Overwritten after the snapshot, while the data leg is in flight:
+  // the get returns the bytes as of the descriptor's arrival.
+  const auto [byte, done] = get_with_target_overwrite(descriptor + 1);
+  EXPECT_EQ(byte, 0x11);
+  EXPECT_GT(done, descriptor + 1);
+}
 
 }  // namespace
 }  // namespace vtopo::armci

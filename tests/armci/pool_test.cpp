@@ -1,14 +1,12 @@
-// Invariants of the request recycling pool and the payload arena: a
-// released object is recycled (scrubbed, capacity kept), a live object
-// is never handed out twice, and refcounts round-trip through copies,
-// moves, and self-assignment.
+// Invariants of the request recycling pool: a released request is
+// recycled (scrubbed, capacity kept), a live request is never handed out
+// twice, and refcounts round-trip through copies, moves, and
+// self-assignment.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <utility>
 #include <vector>
 
-#include "armci/arena.hpp"
 #include "armci/request.hpp"
 #include "sim/engine.hpp"
 
@@ -113,74 +111,6 @@ TEST(RequestPool, SteadyStateChurnAllocatesNothingNew) {
   }
   EXPECT_EQ(pool.created(), created);
   EXPECT_GE(pool.reused(), 1000u);
-}
-
-TEST(PayloadArena, ReusesChunkOfSameSizeClass) {
-  PayloadArena arena;
-  std::uint8_t* first;
-  {
-    PayloadArena::Ref r = arena.acquire(100);
-    first = r.data();
-    EXPECT_EQ(r.size(), 100u);
-    std::memset(r.data(), 0x5a, r.size());
-  }
-  // 100 and 200 both land in the 256-byte class.
-  PayloadArena::Ref r2 = arena.acquire(200);
-  EXPECT_EQ(r2.data(), first);
-  EXPECT_EQ(r2.size(), 200u);
-  EXPECT_EQ(arena.created(), 1u);
-  EXPECT_EQ(arena.reused(), 1u);
-}
-
-TEST(PayloadArena, DistinctClassesDoNotMix) {
-  PayloadArena arena;
-  std::uint8_t* small;
-  {
-    PayloadArena::Ref r = arena.acquire(64);
-    small = r.data();
-  }
-  PayloadArena::Ref big = arena.acquire(100 * 1024);
-  EXPECT_NE(big.data(), small);
-  EXPECT_EQ(arena.reused(), 0u);
-}
-
-TEST(PayloadArena, LiveChunksAreDistinct) {
-  PayloadArena arena;
-  PayloadArena::Ref a = arena.acquire(300);
-  PayloadArena::Ref b = arena.acquire(300);
-  EXPECT_NE(a.data(), b.data());
-  std::memset(a.data(), 1, a.size());
-  std::memset(b.data(), 2, b.size());
-  EXPECT_EQ(a.data()[0], 1);
-  EXPECT_EQ(b.data()[0], 2);
-}
-
-TEST(PayloadArena, MoveTransfersOwnership) {
-  PayloadArena arena;
-  PayloadArena::Ref a = arena.acquire(300);
-  std::uint8_t* p = a.data();
-  PayloadArena::Ref b = std::move(a);
-  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move)
-  EXPECT_TRUE(b);
-  EXPECT_EQ(b.data(), p);
-  b = PayloadArena::Ref{};  // releasing parks the chunk
-  PayloadArena::Ref c = arena.acquire(300);
-  EXPECT_EQ(c.data(), p);
-  EXPECT_EQ(arena.reused(), 1u);
-}
-
-TEST(PayloadArena, OversizedFallsThroughToExactHeapChunks) {
-  PayloadArena arena;
-  constexpr std::size_t kBig = (std::size_t{1} << 20) + 1;
-  {
-    PayloadArena::Ref r = arena.acquire(kBig);
-    EXPECT_EQ(r.size(), kBig);
-    r.data()[kBig - 1] = 0x7f;
-  }
-  // Oversized chunks are freed, not parked: the next acquire creates.
-  PayloadArena::Ref r2 = arena.acquire(kBig);
-  EXPECT_EQ(arena.created(), 2u);
-  EXPECT_EQ(arena.reused(), 0u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "armci/proc.hpp"
@@ -24,6 +25,7 @@
 #include "workloads/nas_lu.hpp"
 #include "workloads/nwchem_dft.hpp"
 #include "workloads/phased.hpp"
+#include "workloads/trace_replay.hpp"
 
 namespace vtopo {
 namespace {
@@ -143,6 +145,40 @@ TEST(BackendDiff, PhasedMatchesSimExactlyOnTwoNodes) {
       small_cluster(armci::Backend::kThreads, 0, 2), small_phased());
   expect_same_completions(sim.app.stats, thr.app.stats);
   EXPECT_EQ(sim.app.checksum, thr.app.checksum);
+}
+
+// The one driver whose programs issue direct put/get and ARMCI locks.
+// Every proc moves bytes to and from a proc on another node, takes one
+// of two contended mutexes around a fetch-&-add, and mixes in vectored
+// and accumulate traffic; three rounds, each closed by a barrier.
+TEST(BackendDiff, TraceReplayMatchesSimExactly) {
+  const ClusterConfig legacy = small_cluster(armci::Backend::kSim);
+  const std::int64_t procs = legacy.num_procs();
+  std::string text;
+  for (int round = 0; round < 3; ++round) {
+    for (std::int64_t p = 0; p < procs; ++p) {
+      const std::string me = std::to_string(p) + " ";
+      const std::string peer = std::to_string((p + 3) % procs) + " ";
+      const std::string owner = std::to_string(p % 2) + " ";
+      text += me + "put " + peer + "256\n";
+      text += me + "get " + peer + "256\n";
+      text += me + "lock " + owner + std::to_string(p % 2) + "\n";
+      text += me + "fetchadd " + owner + "1\n";
+      text += me + "unlock " + owner + std::to_string(p % 2) + "\n";
+      text += me + "putv " + peer + "128\n";
+      text += me + "getv " + peer + "128\n";
+      text += me + "acc " + peer + "4\n";
+      text += me + "barrier\n";
+    }
+  }
+  const std::vector<work::TraceOp> ops = work::parse_trace(text, procs);
+  const work::TraceResult sim = work::replay_trace(legacy, ops);
+  const work::TraceResult thr =
+      work::replay_trace(small_cluster(armci::Backend::kThreads), ops);
+  const work::TraceResult shd = work::replay_trace(sharded_cluster(), ops);
+  EXPECT_EQ(sim.stats.direct_ops, static_cast<std::uint64_t>(6 * procs));
+  expect_same_completions(sim.stats, thr.stats);
+  expect_same_completions(sim.stats, shd.stats);
 }
 
 // ---------------------------------------------------------------------

@@ -1,13 +1,12 @@
 // Byte-identity guard for the figure pipelines across hot-path rewrites.
 //
-// The pooling/recycling work (request pool, payload arena, coroutine
-// frame freelists, dense credit banks, route cache) must not perturb a
-// single simulated timestamp or protocol counter: figs 5/6/7 have to be
-// bit-for-bit reproducible against the pre-change binaries. Each
-// scenario below renders its full result (every per-rank op time at ns
-// resolution plus all protocol counters) into a canonical string and
-// compares its FNV-1a hash against a golden captured from the
-// pre-pooling tree.
+// The pooling/recycling work (request pool, coroutine frame freelists,
+// dense credit banks, route cache) must not perturb a single simulated
+// timestamp or protocol counter: figs 5/6/7 have to be bit-for-bit
+// reproducible against the pre-change binaries. Each scenario below
+// renders its full result (every per-rank op time at ns resolution plus
+// all protocol counters) into a canonical string and compares its
+// FNV-1a hash against a golden captured from the pre-pooling tree.
 //
 // On mismatch the test dumps the canonical string so the diff is
 // inspectable. To regenerate goldens after an *intentional* model

@@ -82,35 +82,5 @@ TEST(Series, UnsortedInputHandled) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
 }
 
-TEST(Log2Histogram, BucketsByPowerOfTwo) {
-  Log2Histogram h;
-  h.add(1);    // bucket 0
-  h.add(2);    // bucket 1
-  h.add(3);    // bucket 1
-  h.add(4);    // bucket 2
-  h.add(1023); // bucket 9
-  h.add(1024); // bucket 10
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.buckets()[0], 1u);
-  EXPECT_EQ(h.buckets()[1], 2u);
-  EXPECT_EQ(h.buckets()[2], 1u);
-  EXPECT_EQ(h.buckets()[9], 1u);
-  EXPECT_EQ(h.buckets()[10], 1u);
-}
-
-TEST(Log2Histogram, ZeroAndOneShareBucketZero) {
-  Log2Histogram h;
-  h.add(0);
-  h.add(1);
-  EXPECT_EQ(h.buckets()[0], 2u);
-}
-
-TEST(Log2Histogram, ToStringListsNonEmptyBuckets) {
-  Log2Histogram h;
-  h.add(5);
-  const std::string s = h.to_string();
-  EXPECT_NE(s.find("[2^2, 2^3): 1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace vtopo::sim

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "sim/engine.hpp"
-#include "sim/queue.hpp"
 
 namespace vtopo::sim {
 namespace {
@@ -124,82 +121,6 @@ TEST(Future, PeekDoesNotConsume) {
   fut.set(9);
   EXPECT_EQ(fut.peek(), 9);
   EXPECT_TRUE(fut.ready());
-}
-
-TEST(Semaphore, AcquireWithTokensIsImmediate) {
-  Engine eng;
-  Semaphore sem(eng, 2);
-  int acquired = 0;
-  auto body = [](Semaphore& s, int& n) -> Co<void> {
-    co_await s.acquire();
-    ++n;
-    co_await s.acquire();
-    ++n;
-  };
-  spawn(body(sem, acquired));
-  EXPECT_EQ(acquired, 2);
-  EXPECT_EQ(sem.available(), 0);
-  eng.run();
-}
-
-TEST(Semaphore, BlocksWhenExhaustedAndFifoHandsOff) {
-  Engine eng;
-  Semaphore sem(eng, 1);
-  std::vector<int> order;
-  auto worker = [](Engine& e, Semaphore& s, std::vector<int>& ord,
-                   int id) -> Co<void> {
-    co_await s.acquire();
-    ord.push_back(id);
-    co_await Sleep(e, 10);
-    s.release();
-  };
-  for (int i = 0; i < 5; ++i) spawn(worker(eng, sem, order, i));
-  eng.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(sem.available(), 1);
-  EXPECT_EQ(sem.waiters(), 0u);
-}
-
-TEST(Semaphore, ReleaseWithoutWaitersIncrementsCount) {
-  Engine eng;
-  Semaphore sem(eng, 0);
-  sem.release();
-  sem.release();
-  EXPECT_EQ(sem.available(), 2);
-}
-
-TEST(AsyncQueue, PopBlocksUntilPush) {
-  Engine eng;
-  AsyncQueue<int> q(eng);
-  std::vector<int> got;
-  auto consumer = [](AsyncQueue<int>& qq, std::vector<int>& out) -> Co<void> {
-    for (int i = 0; i < 3; ++i) out.push_back(co_await qq.pop());
-  };
-  spawn(consumer(q, got));
-  EXPECT_TRUE(got.empty());
-  eng.schedule_at(10, [&] { q.push(1); });
-  eng.schedule_at(20, [&] {
-    q.push(2);
-    q.push(3);
-  });
-  eng.run();
-  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(AsyncQueue, PreloadedItemsPopImmediately) {
-  Engine eng;
-  AsyncQueue<int> q(eng);
-  q.push(5);
-  q.push(6);
-  EXPECT_EQ(q.size(), 2u);
-  std::vector<int> got;
-  auto consumer = [](AsyncQueue<int>& qq, std::vector<int>& out) -> Co<void> {
-    out.push_back(co_await qq.pop());
-    out.push_back(co_await qq.pop());
-  };
-  spawn(consumer(q, got));
-  EXPECT_EQ(got, (std::vector<int>{5, 6}));
-  eng.run();
 }
 
 TEST(Task, ManyConcurrentTasksAllFinish) {

@@ -470,23 +470,23 @@ TEST(LintR1, AccessorBoundAliasIsTracked) {
   EXPECT_EQ(diags[0].line, 3);
 }
 
-TEST(LintR1, DroppedArenaChunkFires) {
+TEST(LintR1, DroppedPoolRefFires) {
   const auto diags = lint_one(
       "src/armci/fwd.cpp",
-      "void stage(Runtime* rt_, std::size_t n) {\n"
-      "  rt_->payload_arena().acquire(n);\n"
+      "void issue(Runtime* rt_) {\n"
+      "  rt_->request_pool().acquire();\n"
       "}\n");
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].rule, "R1");
   EXPECT_NE(diags[0].message.find("immediately dropped"), std::string::npos);
 }
 
-TEST(LintR1, BoundArenaChunkIsClean) {
+TEST(LintR1, BoundPoolRefIsClean) {
   const auto diags = lint_one(
       "src/armci/fwd.cpp",
-      "void stage(Runtime* rt_, std::size_t n) {\n"
-      "  PayloadArena::Ref data = rt_->payload_arena().acquire(n);\n"
-      "  use(data);\n"
+      "void issue(Runtime* rt_) {\n"
+      "  RequestPtr r = rt_->request_pool().acquire();\n"
+      "  use(r);\n"
       "}\n");
   EXPECT_TRUE(diags.empty());
 }
@@ -677,8 +677,8 @@ TEST(LintL1, SequentialScopesAreClean) {
 TEST(LintL1, SimulatedLockTableKeysByFirstArg) {
   const auto diags = lint_one(
       "src/armci/locks.cpp",
-      "void f(LockTable& lt) { lt.lock(k1); lt.lock(k2); }\n"
-      "void g(LockTable& lt) { lt.lock(k2); lt.lock(k1); }\n");
+      "void f(Mutexes& lt) { lt.lock(k1); lt.lock(k2); }\n"
+      "void g(Mutexes& lt) { lt.lock(k2); lt.lock(k1); }\n");
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].rule, "L1");
   EXPECT_NE(diags[0].message.find("'k1'"), std::string::npos);

@@ -8,36 +8,20 @@ namespace vtopo::lint {
 namespace {
 
 /// What a `.acquire(` / `.release(` chain resolves to.
-enum class Res { kNone, kCredit, kPool, kArena };
+enum class Res { kNone, kCredit, kPool };
 
 Res classify_accessor(std::string_view name) {
   if (name == "credits") return Res::kCredit;
   if (name == "request_pool") return Res::kPool;
-  if (name == "payload_arena") return Res::kArena;
   return Res::kNone;
 }
 
-std::string_view res_noun(Res r) {
-  switch (r) {
-    case Res::kCredit:
-      return "CreditBank lease";
-    case Res::kPool:
-      return "RequestPool ref";
-    case Res::kArena:
-      return "PayloadArena chunk";
-    default:
-      return "resource";
-  }
-}
-
 /// For a method ident at `m` ("acquire"/"release") followed by '(',
-/// resolve the receiver chain: a credit/pool/arena-typed variable, or an
-/// accessor call chain ending in credits()/request_pool()/
-/// payload_arena().
+/// resolve the receiver chain: a credit/pool-typed variable, or an
+/// accessor call chain ending in credits()/request_pool().
 Res resolve_receiver(const std::vector<Token>& t, std::size_t m,
                      const std::set<std::string>& credit,
-                     const std::set<std::string>& pool,
-                     const std::set<std::string>& arena) {
+                     const std::set<std::string>& pool) {
   if (m < 2 || m + 1 >= t.size() || !is(t[m + 1], "(")) return Res::kNone;
   if (!is(t[m - 1], ".") && !is(t[m - 1], "->")) return Res::kNone;
   const Token& r = t[m - 2];
@@ -45,7 +29,6 @@ Res resolve_receiver(const std::vector<Token>& t, std::size_t m,
     const std::string name(r.text);
     if (credit.count(name) != 0) return Res::kCredit;
     if (pool.count(name) != 0) return Res::kPool;
-    if (arena.count(name) != 0) return Res::kArena;
     return Res::kNone;
   }
   if (is(r, ")")) {  // accessor chain: rt_->credits(node).acquire(...)
@@ -103,7 +86,7 @@ bool is_mutex_type(std::string_view s) {
 }
 
 /// Normalized text of the first call argument ("op . target" ->
-/// "op.target"): the lock identity for simulated LockTable-style locks.
+/// "op.target"): the lock identity for simulated (CHT-hosted) locks.
 std::string first_arg_key(const std::vector<Token>& t, std::size_t open) {
   std::string key;
   int d = 0;
@@ -171,10 +154,6 @@ void FlowAnalysis::collect_names() {
         decl_names(i, credit_names_);
       } else if (id == "RequestPool") {
         decl_names(i, pool_names_);
-      } else if (id == "PayloadArena") {
-        // PayloadArena::Ref is the RAII handle type, not the arena.
-        if (i + 1 < t.size() && is(t[i + 1], "::")) continue;
-        decl_names(i, arena_names_);
       } else if (is_mutex_type(id) && i > 0 && is(t[i - 1], "::")) {
         decl_names(i, mutex_names_);
       } else if (classify_accessor(id) != Res::kNone && i + 1 < t.size() &&
@@ -194,9 +173,6 @@ void FlowAnalysis::collect_names() {
               break;
             case Res::kPool:
               pool_names_.insert(nm);
-              break;
-            case Res::kArena:
-              arena_names_.insert(nm);
               break;
             default:
               break;
@@ -230,22 +206,19 @@ void FlowAnalysis::rule_r1(const FileRef& f, const FunctionInfo& fn,
       if (in_lambda(fn, i) || t[i].kind != Token::kIdent) continue;
       const std::string_view id = t[i].text;
       if (id == "acquire") {
-        const Res r = resolve_receiver(t, i, credit_names_, pool_names_,
-                                       arena_names_);
+        const Res r = resolve_receiver(t, i, credit_names_, pool_names_);
         if (r == Res::kCredit) {
           events[ni].push_back({true, i});
           any_acquire = true;
-        } else if ((r == Res::kPool || r == Res::kArena) &&
-                   dropped_on_the_spot(t, nd, i)) {
-          sink.report(
-              "R1", t[i].line, t[i].col,
-              std::string(res_noun(r)) +
-                  " acquired and immediately dropped: the RAII handle "
-                  "releases before any use; bind it to a named handle");
+        } else if (r == Res::kPool && dropped_on_the_spot(t, nd, i)) {
+          sink.report("R1", t[i].line, t[i].col,
+                      "RequestPool ref acquired and immediately dropped: "
+                      "the RAII handle releases before any use; bind it "
+                      "to a named handle");
         }
       } else if (id == "release") {
-        if (resolve_receiver(t, i, credit_names_, pool_names_,
-                             arena_names_) == Res::kCredit) {
+        if (resolve_receiver(t, i, credit_names_, pool_names_) ==
+            Res::kCredit) {
           events[ni].push_back({false, i});
         }
       } else if (id == "hop_credit_taken" && i + 2 < t.size() &&
@@ -314,7 +287,7 @@ void FlowAnalysis::rule_r1(const FileRef& f, const FunctionInfo& fn,
     std::reverse(chain.begin(), chain.end());
     std::vector<TraceStep> trace;
     trace.push_back({f.path, t[id].line, t[id].col,
-                     std::string(res_noun(Res::kCredit)) + " acquired here"});
+                     "CreditBank lease acquired here"});
     int last_real = -1;
     for (const int n : chain) {
       const CfgNode& nd = cfg.nodes[static_cast<std::size_t>(n)];
@@ -672,7 +645,7 @@ void FlowAnalysis::rule_l1_scan(const FileRef& f, const FunctionInfo& fn) {
           mutex_names_.count(std::string(t[i - 2].text)) != 0) {
         key = std::string(t[i - 2].text);
       } else if (i + 2 < t.size() && !is(t[i + 2], ")")) {
-        key = first_arg_key(t, i + 1);  // simulated LockTable-style lock
+        key = first_arg_key(t, i + 1);  // simulated (CHT-hosted) lock
       }
       if (key.empty()) continue;
       if (id == "lock") {

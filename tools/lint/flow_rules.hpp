@@ -5,9 +5,9 @@
 //       CFG path to function exit, a direct `.release(...)` on a credit
 //       bank or the `hop_credit_taken = true` ownership transfer. A call
 //       into a helper is not a release: the helper may release a
-//       different lease. RequestPool / PayloadArena handles are RAII,
-//       so for those the rule only flags an acquire whose handle is
-//       dropped on the spot.
+//       different lease. RequestPool handles are RAII, so for those
+//       the rule only flags an acquire whose handle is dropped on the
+//       spot.
 //       Diagnostics carry a witness path: acquire site -> branches ->
 //       the early return (or end of function) that leaks.
 //
@@ -19,7 +19,7 @@
 //
 //   L1 lock-order — a global lock-acquisition-order graph. Nodes are
 //       lock identities (std::mutex-family variables, and simulated
-//       LockTable keys from `co_await x.lock(key, ...)`); an edge A->B
+//       lock keys from `co_await x.lock(key, ...)`); an edge A->B
 //       is recorded whenever B is acquired while A is held, including
 //       through calls (callee lock summaries propagate over the call
 //       graph). Any cycle is reported once, with the witness edge list.
@@ -71,7 +71,6 @@ class FlowAnalysis {
   CallGraph graph_;
   std::set<std::string> credit_names_;  ///< CreditBank-typed variables
   std::set<std::string> pool_names_;    ///< RequestPool-typed variables
-  std::set<std::string> arena_names_;   ///< PayloadArena-typed variables
   std::set<std::string> mutex_names_;   ///< std::mutex-family variables
   /// Direct lock acquisitions per function (bare name) for the L1
   /// interprocedural summaries.

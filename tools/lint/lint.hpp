@@ -26,8 +26,8 @@
 //                             (flow-sensitive)
 //   S1 cross-shard          — scheduling directly on a shard facade
 //   R1 credit-lease-pairing — path-sensitive acquire/release matching
-//                             for CreditBank leases and RequestPool/
-//                             PayloadArena handles (static twin of the
+//                             for CreditBank leases and RequestPool
+//                             handles (static twin of the
 //                             VTOPO_VALIDATE conservation checks)
 //   L1 lock-order           — global lock-acquisition-order graph with
 //                             cycle detection and a witness cycle

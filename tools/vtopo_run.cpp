@@ -335,9 +335,10 @@ int main(int argc, char** argv) {
   }
   cl.shards = static_cast<int>(args.num("shards", cl.shards));
   if (cl.backend == armci::Backend::kThreads && workload != "dft" &&
-      workload != "lu" && workload != "phased") {
+      workload != "lu" && workload != "phased" && workload != "trace") {
     std::fprintf(stderr,
-                 "backend=threads supports workload=dft|lu|phased only\n");
+                 "backend=threads supports workload=dft|lu|phased|trace "
+                 "only\n");
     return 2;
   }
 
