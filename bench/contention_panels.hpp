@@ -56,12 +56,11 @@ inline void run_contention_figure(const char* figure,
       static_cast<int>(args.get_int("--iters", args.has("--quick") ? 5 : 20));
 
   // --qos: rerun the figure with the criticality-aware request path on
-  // (class-weighted CHT dequeue + reserved credit lane + congestion
-  // windows) and report per-class tail latency. A distinct golden
-  // family — the default output stays byte-identical.
+  // (class-weighted CHT dequeue) and report per-class tail latency. A
+  // distinct golden family — the default output stays byte-identical.
   const bool qos = args.has("--qos");
   if (qos) {
-    cluster.armci.qos.enabled = true;
+    cluster.armci.qos = true;
     cfg.trace_classes = true;
   }
 

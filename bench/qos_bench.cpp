@@ -5,16 +5,16 @@
 // Storm: on an MFCG mesh every fourth process times critical
 // fetch-&-adds against a rank-0 counter while the rest flood 1 KiB
 // vectored puts at rank 0 — the DFT-style pattern where a FIFO CHT
-// buries the atomics behind bulk backlog. The QoS path (class-weighted
-// dequeue + reserved credit lane + endpoint congestion windows) must
-// cut the critical-class p99/p999 at least 2x while keeping aggregate
-// throughput within 5% (the bulk work is the same; it is only
-// reordered). The adaptive section alternates hot-spot and neighbor-
-// exchange phases under three policies — static FIFO, static QoS, and
-// AdaptiveController{manage_qos}. In hot phases critical atomics gate a
-// NXTVAL-style task chain, so a FIFO CHT stretches the phase itself;
-// the gate is the controller beating the worst static choice on
-// end-to-end phase time (while matching static QoS on critical p99).
+// buries the atomics behind bulk backlog. The QoS path (the
+// class-weighted CHT dequeue) must cut the critical-class p99/p999 at
+// least 2x while keeping aggregate throughput within 5% (the bulk work
+// is the same; it is only reordered). The adaptive section alternates
+// hot-spot and neighbor-exchange phases under three policies — static
+// FIFO, static QoS, and AdaptiveController{manage_qos}. In hot phases
+// critical atomics gate a NXTVAL-style task chain, so a FIFO CHT
+// stretches the phase itself; the gate is the controller beating the
+// worst static choice on end-to-end phase time (while matching static
+// QoS on critical p99). Quick and full mode enforce the same four gates.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -57,10 +57,6 @@ struct StormResult {
   double end_ms = 0.0;
   bool exactly_once = true;
   std::uint64_t max_backlog = 0;
-  std::uint64_t aged_promotions = 0;
-  std::uint64_t reserved_grants = 0;
-  std::uint64_t congestion_stalls = 0;
-  std::uint64_t window_shrinks = 0;
 };
 
 armci::Runtime::Config storm_cfg(bool qos, bool quick) {
@@ -68,7 +64,7 @@ armci::Runtime::Config storm_cfg(bool qos, bool quick) {
   cfg.num_nodes = quick ? 8 : 16;
   cfg.procs_per_node = quick ? 2 : 4;
   cfg.topology = core::TopologyKind::kMfcg;
-  cfg.armci.qos.enabled = qos;
+  cfg.armci.qos = qos;
   // Make the rank-0 CHT the bottleneck (the regime QoS exists for):
   // with the default sub-microsecond service time the NIC wire into
   // node 0 saturates first and the CHT queue never grows deep enough
@@ -125,10 +121,6 @@ StormResult run_storm(bool qos, bool quick) {
   out.exactly_once = rt.memory().read_i64(armci::GAddr{0, off}) ==
                      crit_procs * crit_ops;
   out.max_backlog = rt.stats().max_backlog;
-  out.aged_promotions = rt.stats().aged_promotions;
-  out.reserved_grants = rt.stats().reserved_grants;
-  out.congestion_stalls = rt.stats().congestion_stalls;
-  out.window_shrinks = rt.stats().window_shrinks;
   return out;
 }
 
@@ -162,8 +154,8 @@ struct PhasedOut {
 /// task it names — so the phase cannot close until the critical atomics
 /// drain: a FIFO CHT that buries them behind the bulk flood stretches
 /// the phase end-to-end, which is what the adaptive policy (announcing
-/// each upcoming phase's skew, installing qos_hot / qos_cold through
-/// the serial phase) gets paid for.
+/// each upcoming phase's skew, switching QoS on or off through the
+/// serial phase) gets paid for.
 PhasedOut run_phases(Policy policy, bool quick) {
   sim::Engine eng;
   armci::Runtime::Config cfg =
@@ -245,14 +237,9 @@ void print_class_block(const char* label, const StormResult& r) {
                 r.cls[c].n, r.cls[c].p50_us, r.cls[c].p99_us,
                 r.cls[c].p999_us);
   }
-  std::printf("  ops/sec %.0f  end_ms %.2f  max_backlog %llu"
-              "  aged %llu  reserved %llu  stalls %llu  shrinks %llu%s\n",
+  std::printf("  ops/sec %.0f  end_ms %.2f  max_backlog %llu%s\n",
               r.ops_per_sec, r.end_ms,
               static_cast<unsigned long long>(r.max_backlog),
-              static_cast<unsigned long long>(r.aged_promotions),
-              static_cast<unsigned long long>(r.reserved_grants),
-              static_cast<unsigned long long>(r.congestion_stalls),
-              static_cast<unsigned long long>(r.window_shrinks),
               r.exactly_once ? "" : "  LOST-OPS");
 }
 
@@ -269,15 +256,9 @@ void json_class_block(std::FILE* f, const char* key,
   }
   std::fprintf(f,
                "      \"ops_per_sec\": %.1f, \"end_ms\": %.3f, "
-               "\"max_backlog\": %llu, \"aged_promotions\": %llu, "
-               "\"reserved_grants\": %llu, \"congestion_stalls\": %llu, "
-               "\"window_shrinks\": %llu, \"exactly_once\": %s\n",
+               "\"max_backlog\": %llu, \"exactly_once\": %s\n",
                r.ops_per_sec, r.end_ms,
                static_cast<unsigned long long>(r.max_backlog),
-               static_cast<unsigned long long>(r.aged_promotions),
-               static_cast<unsigned long long>(r.reserved_grants),
-               static_cast<unsigned long long>(r.congestion_stalls),
-               static_cast<unsigned long long>(r.window_shrinks),
                r.exactly_once ? "true" : "false");
   std::fprintf(f, "    }");
 }
@@ -377,9 +358,5 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("# wrote %s\n", out_path.c_str());
 
-  // Quick mode is the ctest smoke: correctness gates only (the tiny
-  // configuration is not sized for stable tail ratios).
-  if (!ok_once) return 1;
-  if (!quick && !(ok_tail && ok_bw && ok_adapt)) return 1;
-  return 0;
+  return ok_once && ok_tail && ok_bw && ok_adapt ? 0 : 1;
 }

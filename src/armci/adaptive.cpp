@@ -24,7 +24,7 @@ AdaptiveController::AdaptiveController(Runtime& rt, AdaptiveConfig cfg)
   if (!rt_->tracer().enabled()) rt_->tracer().enable();
   // Establish the cold baseline so qos_hot_active_ matches the runtime
   // from the first boundary on (ctor runs at setup — serial, safe).
-  if (cfg_.manage_qos) rt_->set_qos(cfg_.qos_cold);
+  if (cfg_.manage_qos) rt_->set_qos(false);
 }
 
 void AdaptiveController::retune_qos(double skew,
@@ -34,11 +34,10 @@ void AdaptiveController::retune_qos(double skew,
   if (hot == qos_hot_active_) return;
   qos_hot_active_ = hot;
   ++qos_retunes_;
-  const QosParams q = hot ? cfg_.qos_hot : cfg_.qos_cold;
   Runtime* rt = rt_;
-  // The knobs are read by every shard's queues/banks/windows; write them
-  // serially so the change lands between windows.
-  rt_->transport().run_serial([rt, q] { rt->set_qos(q); });
+  // The switch is read by every shard's CHT queues; write it serially
+  // so the change lands between windows.
+  rt_->transport().run_serial([rt, hot] { rt->set_qos(hot); });
 }
 
 AdaptiveController::Sample AdaptiveController::take_sample() {

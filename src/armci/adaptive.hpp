@@ -33,20 +33,16 @@ struct AdaptiveConfig {
   /// trusts the sample enough to switch.
   std::uint64_t min_window_requests = 32;
 
-  // --- QoS management (see armci/params.hpp QosParams) ---------------
-  /// When true, each boundary also picks the next phase's QoS config:
-  /// hot-spotted phases (skew >= qos_hotspot_threshold) run `qos_hot`,
-  /// everything else `qos_cold`. The switch is applied through the
-  /// serial phase (race-free under sharding), so it lands before the
-  /// next phase's traffic.
+  // --- QoS management (see ArmciParams::qos) -------------------------
+  /// When true, each boundary also switches QoS for the next phase: on
+  /// (class-weighted CHT dequeue) for hot-spotted phases (skew >=
+  /// qos_hotspot_threshold), off (pure FIFO, zero scheduling overhead)
+  /// for everything else. The switch is applied through the serial
+  /// phase (race-free under sharding), so it lands before the next
+  /// phase's traffic.
   bool manage_qos = false;
   /// Skew at or above which the upcoming phase counts as hot-spotted.
   double qos_hotspot_threshold = 0.25;
-  /// Hot-phase config: QoS on — class-weighted CHT dequeue, reserved
-  /// critical credit lane, endpoint congestion windows.
-  QosParams qos_hot{.enabled = true};
-  /// Cold-phase config: QoS off — pure FIFO, zero scheduling overhead.
-  QosParams qos_cold{};
 };
 
 class AdaptiveController {
@@ -87,14 +83,14 @@ class AdaptiveController {
     return decisions_;
   }
   [[nodiscard]] int switches() const { return switches_; }
-  /// Boundaries at which the QoS config changed (manage_qos only).
+  /// Boundaries at which QoS was switched (manage_qos only).
   [[nodiscard]] int qos_retunes() const { return qos_retunes_; }
-  /// Whether the controller currently has the hot-phase QoS installed.
+  /// Whether the controller currently has QoS switched on.
   [[nodiscard]] bool qos_hot_active() const { return qos_hot_active_; }
 
  private:
   [[nodiscard]] Sample take_sample();
-  /// Pick + install the QoS config for the upcoming phase from `skew`.
+  /// Switch QoS on or off for the upcoming phase from `skew`.
   void retune_qos(double skew, std::ostringstream& decision);
 
   Runtime* rt_;

@@ -7,7 +7,7 @@
 // plus the event queues its worker drains. The facade's ShardHook routes
 // every schedule_at/schedule_on_node into those queues, so the whole
 // protocol stack (CHT service loops, QosQueue wakeups, CreditBank
-// hand-offs, congestion windows) runs unchanged on real threads.
+// hand-offs) runs unchanged on real threads.
 // "Latency" is wall-clock: a due time is nanoseconds since transport
 // start measured on steady_clock. Payload movement is a real memcpy
 // between segments (see Proc::put/get threads branches).
@@ -40,10 +40,10 @@
 // on its token, so the hot path touches no shared counter.
 //
 // Memory confinement contract (what makes this TSan-clean):
-//  * a node's facade, CHT, CreditBank, congestion window, request-pool
-//    slot and memory segment are touched only by that node's worker —
-//    or by the driver thread while every worker is quiescent (the
-//    pending-count handshake in drive() orders the two);
+//  * a node's facade, CHT, CreditBank, request-pool slot and memory
+//    segment are touched only by that node's worker — or by the driver
+//    thread while every worker is quiescent (the pending-count
+//    handshake in drive() orders the two);
 //  * a node's timer heap is touched only by its worker;
 //  * its inbox and parked flag are guarded by its `mu`;
 //  * cross-node effects travel exclusively as posted closures;

@@ -34,13 +34,6 @@ sim::Co<void> Cht::run_loop() {
                            r->enqueued_ns,
                            rt_->engine().now() - r->enqueued_ns);
     }
-    // Aging promotions happen inside the queue's dequeue pick; sync the
-    // monotone counter into the (shard-local) stats slot here.
-    const std::uint64_t aged = queue_.aged_promotions();
-    if (aged != last_aged_) {
-      rt_->stats().aged_promotions += aged - last_aged_;
-      last_aged_ = aged;
-    }
     // Polling model: a CHT that went idle longer than the polling window
     // blocked in the network wait and pays a wake-up penalty; an actively
     // busy/forwarding CHT is already polling and reacts immediately.
@@ -104,7 +97,7 @@ sim::Co<void> Cht::forward(RequestPtr r) {
   // request still occupies this node's receive buffer (hold-and-wait).
   CreditBank& bank = rt_->credits(node_);
   const sim::TimeNs t0 = rt_->engine().now();
-  co_await bank.acquire(next, r->cls);
+  co_await bank.acquire(next);
   const sim::TimeNs blocked = rt_->engine().now() - t0;
   bank.add_blocked(blocked);
   rt_->stats().credit_blocked_ns += blocked;
@@ -136,7 +129,7 @@ sim::Co<void> Cht::forward(RequestPtr r) {
 
 void Cht::release_upstream(const Request& r) {
   if (!r.hop_credit_taken) return;  // intra-node delivery took no credit
-  rt_->send_ack_msg(node_, r.upstream_node, r.cls);
+  rt_->send_ack_msg(node_, r.upstream_node);
 }
 
 void Cht::execute(const RequestPtr& r) {
@@ -330,10 +323,6 @@ void Cht::execute(const RequestPtr& r) {
 
 void Cht::send_response(const RequestPtr& r, Response resp) {
   const ArmciParams& p = rt_->params();
-  // Piggyback this CHT's queue depth: the congestion feedback the
-  // origin's per-target AIMD window reacts to. Pure data on an existing
-  // message — populated whether or not QoS is on.
-  resp.queue_backlog = static_cast<std::int32_t>(backlog());
   const std::int64_t wire = p.response_header_bytes +
                             static_cast<std::int64_t>(resp.data.size());
   // Response rides inside the arrival callback by move (InlineFn holds

@@ -40,8 +40,8 @@ class Cht {
 
   /// Deliver a request to this CHT (called from network arrival events).
   /// The only sanctioned entry into the service queue: it stamps the
-  /// enqueue time (per-class queue-wait accounting + aging) and keeps
-  /// the backlog high-water. queue_ is private, so no other caller can
+  /// enqueue time (per-class queue-wait accounting) and keeps the
+  /// backlog high-water. queue_ is private, so no other caller can
   /// push into it.
   void submit(RequestPtr r);
 
@@ -88,7 +88,6 @@ class Cht {
   /// Mutexes hosted here, keyed by (owner process, mutex id).
   std::map<std::pair<ProcId, std::int32_t>, LockState> locks_;
   sim::TimeNs last_active_ = std::numeric_limits<sim::TimeNs>::min() / 4;
-  std::uint64_t last_aged_ = 0;  ///< queue_.aged_promotions() last synced
   std::uint64_t handled_ = 0;
   sim::TimeNs busy_ns_ = 0;
   std::vector<DedupEntry> dedup_;  ///< empty while faults are disarmed

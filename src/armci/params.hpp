@@ -8,53 +8,6 @@
 
 namespace vtopo::armci {
 
-/// Criticality-aware QoS knobs for the CHT request path. All of it is
-/// off by default: with `enabled == false` every member below is inert
-/// and the runtime schedules the exact same events as the pre-QoS tree
-/// (figure goldens stay byte-identical). See docs/performance.md § QoS.
-struct QosParams {
-  /// Master switch for class-aware dequeue + aging + reserved lanes.
-  bool enabled = false;
-
-  /// Weighted deficit round-robin quanta (requests per round) for
-  /// {bulk, normal, critical}. Critical drains first each round; a class
-  /// with backlog never starves because every round grants each
-  /// non-empty class its quantum.
-  int weight_bulk = 1;
-  int weight_normal = 2;
-  int weight_critical = 8;
-  /// Slack-estimated aging: a request whose queue wait exceeds
-  /// `aging_quantum` is treated one class higher per elapsed quantum
-  /// (bulk -> normal -> critical), so bulk backlog drains even under a
-  /// sustained critical storm. 0 disables aging.
-  sim::TimeNs aging_quantum = sim::us(50.0);
-
-  /// Reserved credit lanes: out of each CreditBank pool, this many
-  /// credits are usable only by requests of at least kNormal /
-  /// kCritical class. A critical request can therefore always acquire a
-  /// buffer even when bulk traffic has the shared portion drained.
-  /// Both reservations must leave at least one shared credit.
-  int reserve_normal = 0;
-  int reserve_critical = 1;
-
-  /// Endpoint congestion control (gemini shmem_congestion scheme):
-  /// per-target outstanding-request windows at the origin, AIMD-driven
-  /// by the queue-depth feedback piggybacked in responses.
-  bool congestion = true;
-  /// Initial / bounds of the per-target window (outstanding requests).
-  int window_init = 8;
-  int window_min = 1;
-  int window_max = 64;
-  /// Multiplicative shrink when a response reports backlog above
-  /// `backlog_high`; additive growth (+1) when below `backlog_low`.
-  int backlog_high = 16;
-  int backlog_low = 4;
-  double window_decrease = 0.5;
-  /// Critical requests bypass the window entirely (they are the ops the
-  /// window exists to protect).
-  bool critical_bypasses_window = true;
-};
-
 struct ArmciParams {
   /// Request buffers dedicated to each remote process with a direct
   /// edge ("the number of buffers per process is 4", Sec. V-A).
@@ -130,8 +83,12 @@ struct ArmciParams {
   sim::TimeNs barrier_base = sim::us(2.0);
   sim::TimeNs barrier_per_level = sim::us(1.5);
 
-  /// Criticality-aware QoS (default off; see QosParams).
-  QosParams qos;
+  /// Criticality-aware QoS: every CHT queue serves the request classes
+  /// by weighted deficit round-robin instead of FIFO (QosQueue). Off by
+  /// default, and then the runtime schedules the exact events of the
+  /// pre-QoS tree (figure goldens stay byte-identical). See
+  /// docs/performance.md § QoS.
+  bool qos = false;
 };
 
 }  // namespace vtopo::armci

@@ -170,7 +170,7 @@ RequestPtr Proc::make_request(OpCode op, ProcId target) {
   r->origin_node = node_;
   r->target_proc = target;
   r->target_node = rt_->node_of(target);
-  r->cls = cls_override_ ? *cls_override_ : default_priority(op);
+  r->cls = default_priority(op);
   return r;
 }
 
@@ -192,23 +192,6 @@ sim::Co<void> Proc::issue_send(RequestPtr r) {
   sim::Engine& eng = rt_->engine();
   const ArmciParams& p = rt_->params();
   ++rt_->stats().requests;
-  // Endpoint congestion window: gated classes charge one slot toward
-  // the target before anything else is paid, so a full window delays
-  // the whole issue path (overhead, credits, wire). Intra-node ops
-  // never hit a CHT queue remotely and are exempt, like credits.
-  if (r->target_node != node_) {
-    CongestionControl& cc = rt_->congestion(node_);
-    if (cc.gates(r->cls)) {
-      r->window_slot_taken = true;
-      auto gate = cc.acquire(r->target_node, r->cls);
-      const sim::TimeNs w0 = eng.now();
-      co_await gate;
-      if (gate.suspended) {
-        ++rt_->stats().congestion_stalls;
-        rt_->stats().congestion_stall_ns += eng.now() - w0;
-      }
-    }
-  }
   // Self-healing request path: arm the per-request timeout/retry
   // watchdog before paying overhead or credits, so the timeout clock
   // covers the whole issue path. Locks are exempt (lock traffic is
@@ -236,7 +219,7 @@ sim::Co<void> Proc::issue_send(RequestPtr r) {
   const core::NodeId hop = rt_->next_hop_for(node_, r->target_node);
   CreditBank& bank = rt_->credits(node_);
   const sim::TimeNs t0 = eng.now();
-  co_await bank.acquire(hop, r->cls);
+  co_await bank.acquire(hop);
   const sim::TimeNs blocked = eng.now() - t0;
   bank.add_blocked(blocked);
   rt_->stats().credit_blocked_ns += blocked;

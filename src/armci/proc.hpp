@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -159,18 +158,6 @@ class Proc {
   // --- Synchronization & local work ------------------------------------
   [[nodiscard]] sim::Co<void> barrier();
 
-  // --- Priority classes (QoS) ------------------------------------------
-  /// Sticky override: every subsequent CHT-mediated op from this process
-  /// is issued at `cls` instead of its op-derived default class
-  /// (default_priority). Used by workloads that know a phase's bulk
-  /// traffic is latency-insensitive.
-  void set_priority(Priority cls) { cls_override_ = cls; }
-  /// Return to per-op default classes.
-  void clear_priority() { cls_override_.reset(); }
-  [[nodiscard]] std::optional<Priority> priority_override() const {
-    return cls_override_;
-  }
-
   /// Model `d` of local computation.
   [[nodiscard]] sim::Co<void> compute(sim::TimeNs d);
   /// Memory fence: all issued operations here complete on return of the
@@ -206,7 +193,6 @@ class Proc {
   ProcId id_;
   core::NodeId node_;
   sim::Rng rng_;
-  std::optional<Priority> cls_override_;
 };
 
 }  // namespace vtopo::armci

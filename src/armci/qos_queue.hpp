@@ -1,12 +1,12 @@
 // Class-aware CHT request queue.
 //
-// Three per-class FIFOs plus a weighted deficit-round-robin dequeue and
-// slack-estimated aging. A single consumer (the CHT's service loop)
-// parks while the queue is empty; a push that finds it parked schedules
-// one schedule_after(0) wake-up. With QoS disabled the selection
-// degenerates to "pop the globally oldest entry" — three FIFOs whose
-// heads are compared by push sequence number are a single FIFO — which
-// is the event stream the figure goldens pin.
+// Three per-class FIFOs plus a weighted deficit-round-robin dequeue. A
+// single consumer (the CHT's service loop) parks while the queue is
+// empty; a push that finds it parked schedules one schedule_after(0)
+// wake-up. With QoS disabled the selection degenerates to "pop the
+// globally oldest entry" — three FIFOs whose heads are compared by push
+// sequence number are a single FIFO — which is the event stream the
+// figure goldens pin.
 //
 // Shutdown poison is a flag, not a queued item: it is delivered only
 // once every class deque has drained, which both keeps the weighted
@@ -21,7 +21,6 @@
 #include <deque>
 #include <utility>
 
-#include "armci/params.hpp"
 #include "armci/request.hpp"
 #include "sim/engine.hpp"
 
@@ -29,8 +28,8 @@ namespace vtopo::armci {
 
 class QosQueue {
  public:
-  QosQueue(sim::Engine& eng, const QosParams* qos)
-      : eng_(&eng), qos_(qos) {}
+  /// `qos` points at the live ArmciParams::qos switch, read per pop.
+  QosQueue(sim::Engine& eng, const bool* qos) : eng_(&eng), qos_(qos) {}
 
   void push(RequestPtr r) {
     const auto cls = static_cast<std::size_t>(r->cls);
@@ -50,10 +49,6 @@ class QosQueue {
     return q_[0].size() + q_[1].size() + q_[2].size();
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
-
-  /// Requests whose dequeue class was boosted above their nominal class
-  /// by aging (monotone counter; caller diffs).
-  [[nodiscard]] std::uint64_t aged_promotions() const { return aged_; }
 
   /// Awaitable pop; at most one consumer may be suspended at a time.
   /// Returns nullptr for the shutdown poison.
@@ -83,29 +78,8 @@ class QosQueue {
     }
   }
 
-  [[nodiscard]] bool qos_on() const {
-    return qos_ != nullptr && qos_->enabled;
-  }
-
-  /// Aging: every elapsed aging_quantum of queue wait promotes the
-  /// entry's effective class one step (bulk -> normal -> critical).
-  [[nodiscard]] int effective_class(const Entry& e) const {
-    const int cls = static_cast<int>(e.r->cls);
-    const sim::TimeNs quantum = qos_->aging_quantum;
-    if (quantum <= 0) return cls;
-    const sim::TimeNs waited = eng_->now() - e.r->enqueued_ns;
-    if (waited <= 0) return cls;
-    const auto boost = static_cast<int>(waited / quantum);
-    const int eff = cls + (boost > kNumPriorities ? kNumPriorities : boost);
-    return eff >= kNumPriorities - 1 ? kNumPriorities - 1 : eff;
-  }
-
-  [[nodiscard]] int refill(int c) const {
-    const int w = c == 0   ? qos_->weight_bulk
-                  : c == 1 ? qos_->weight_normal
-                           : qos_->weight_critical;
-    return w < 1 ? 1 : w;  // a zero weight would starve the refill loop
-  }
+  /// Round quanta (requests per round) for {bulk, normal, critical}.
+  static constexpr int kWeights[kNumPriorities] = {1, 2, 8};
 
   RequestPtr take() {
     if (empty()) {
@@ -113,7 +87,7 @@ class QosQueue {
       return nullptr;
     }
     std::size_t pick;
-    if (!qos_on()) {
+    if (!*qos_) {
       // FIFO-exact: the globally oldest head across the class deques.
       pick = oldest_head();
     } else {
@@ -137,44 +111,31 @@ class QosQueue {
     return best;
   }
 
-  /// Weighted deficit round-robin over the class deques with aging.
-  /// Among non-empty classes holding round credit, the one whose head
-  /// has the highest aged effective class wins (ties broken FIFO by
-  /// push sequence); when every non-empty class has exhausted its
-  /// quantum the round credits refill from the weights. Bulk therefore
-  /// still drains under a sustained critical storm — once per round via
-  /// its quantum, and promptly once its head ages past a quantum.
+  /// Weighted deficit round-robin over the class deques: the highest
+  /// non-empty class still holding round credit wins; when every
+  /// non-empty class has spent its quantum the credits refill from
+  /// kWeights. Bulk therefore still drains under a sustained critical
+  /// storm, once per round via its quantum.
   std::size_t select_drr() {
     for (int attempt = 0; attempt < 2; ++attempt) {
-      std::size_t best = kNumPriorities;
-      int best_eff = -1;
-      std::uint64_t best_seq = ~std::uint64_t{0};
-      for (std::size_t c = 0; c < kNumPriorities; ++c) {
-        if (q_[c].empty() || credits_[c] <= 0) continue;
-        const int eff = effective_class(q_[c].front());
-        if (eff > best_eff ||
-            (eff == best_eff && q_[c].front().seq < best_seq)) {
-          best = c;
-          best_eff = eff;
-          best_seq = q_[c].front().seq;
+      for (std::size_t c = kNumPriorities; c-- > 0;) {
+        if (!q_[c].empty() && credits_[c] > 0) {
+          --credits_[c];
+          return c;
         }
       }
-      if (best < static_cast<std::size_t>(kNumPriorities)) {
-        --credits_[best];
-        if (best_eff > static_cast<int>(q_[best].front().r->cls)) ++aged_;
-        return best;
+      for (std::size_t c = 0; c < kNumPriorities; ++c) {
+        credits_[c] = kWeights[c];
       }
-      for (int c = 0; c < kNumPriorities; ++c) credits_[c] = refill(c);
     }
     return oldest_head();  // unreachable: refill guarantees a candidate
   }
 
   sim::Engine* eng_;
-  const QosParams* qos_;
+  const bool* qos_;
   std::deque<Entry> q_[kNumPriorities];
   std::uint64_t next_seq_ = 0;
   int credits_[kNumPriorities] = {0, 0, 0};
-  std::uint64_t aged_ = 0;
   bool poison_ = false;
   std::coroutine_handle<> consumer_{};
 };

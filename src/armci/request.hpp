@@ -45,9 +45,10 @@ enum class OpCode : std::uint8_t {
 /// Criticality class of a request. Atomics (fetch-&-add, swap) and lock
 /// traffic default to kCritical — they gate a rank's next task — while
 /// bulk data movement defaults to kBulk; everything else is kNormal.
-/// With QoS disabled (ArmciParams::qos.enabled == false) the class is
-/// carried but never consulted, so the default path stays byte-identical
-/// to the pre-QoS FIFO.
+/// With QoS on (ArmciParams::qos) every CHT queue serves the classes by
+/// weighted round-robin (QosQueue); with it off the class is carried
+/// but only labels the per-class trace series, so the default path
+/// stays byte-identical to the pre-QoS FIFO.
 enum class Priority : std::uint8_t {
   kBulk = 0,
   kNormal = 1,
@@ -109,11 +110,6 @@ struct StridedDesc {
 /// What the target sends back to the origin process.
 struct Response {
   std::int64_t value = 0;            ///< fetch-&-add / swap result
-  /// Servicing CHT's queue depth when the response left — the congestion
-  /// feedback the origin's per-target AIMD window shrinks on. Always
-  /// populated (pure data, no extra event), only acted on when
-  /// ArmciParams::qos.congestion is enabled.
-  std::int32_t queue_backlog = 0;
   std::vector<std::uint8_t> data;    ///< gathered data for kGetV
 };
 
@@ -151,14 +147,11 @@ struct Request {
   /// number the target CHT dedups on — and the origin's response future.
   int attempt = 0;
   /// Criticality class; see default_priority(). Travels with the request
-  /// so every hop's CHT dequeues and every credit acquire lanes by it.
+  /// so every hop's CHT dequeues by it.
   Priority cls = Priority::kNormal;
   /// Simulated time this copy entered the current CHT queue (per-class
-  /// queue-wait accounting + aging). Reset on every submit.
+  /// queue-wait accounting). Reset on every submit.
   std::int64_t enqueued_ns = 0;
-  /// True when the origin's per-target congestion window charged a slot
-  /// for this op; the (dedup-gated) completion returns exactly one slot.
-  bool window_slot_taken = false;
 
   GAddr addr{};                      ///< target address (atomic/acc/lock id base)
   AccType acc_type = AccType::kF64;  ///< accumulate element type
@@ -355,7 +348,6 @@ class RequestPool {
     r->attempt = 0;
     r->cls = Priority::kNormal;
     r->enqueued_ns = 0;
-    r->window_slot_taken = false;
     r->addr = GAddr{};
     r->acc_type = AccType::kF64;
     r->scale = 1.0;

@@ -116,8 +116,6 @@ void Runtime::init() {
   req_seq_.assign(nn, 0);
   chts_.reserve(nn);
   credit_banks_.reserve(nn);
-  congestion_.reserve(nn);
-  const QosParams* qos = &cfg_.armci.qos;
   for (core::NodeId n = 0; n < cfg_.num_nodes; ++n) {
     // Construct each node's actors under its own node context so the
     // engine references they capture (the CHT's queue, the credit
@@ -128,8 +126,7 @@ void Runtime::init() {
     sim::Engine& eng = transport_->engine_for_node(node);
     chts_.push_back(std::make_unique<Cht>(*this, n));
     credit_banks_.push_back(std::make_unique<CreditBank>(
-        eng, credits_per_edge(), topology().neighbors(n), qos));
-    congestion_.push_back(std::make_unique<CongestionControl>(eng, qos));
+        eng, credits_per_edge(), topology().neighbors(n)));
   }
   for (ProcId p = 0; p < num_procs(); ++p) procs_.emplace_back(*this, p);
   for (core::NodeId n = 0; n < cfg_.num_nodes; ++n) {
@@ -185,12 +182,6 @@ bool Runtime::run_engine(sim::TimeNs deadline) {
   for (ShardSlot& s : shard_slots_) s.tracer.configure_from(tracer_);
   transport_->drive_until(deadline);
   fold_slots();
-  // Reserved-lane grants live as monotone counters inside the banks
-  // (they have no stats access); snapshot the total whenever a run
-  // settles so stats_ reads stay consistent with the other counters.
-  std::uint64_t grants = 0;
-  for (const auto& bank : credit_banks_) grants += bank->reserved_grants();
-  stats_.reserved_grants = grants;
   return live_tasks() == 0;
 }
 
@@ -209,10 +200,6 @@ void Runtime::fold_slots() {
     a.lock_queue_max = std::max(a.lock_queue_max, b.lock_queue_max);
     a.max_backlog = std::max(a.max_backlog, b.max_backlog);
     a.credit_blocked_ns += b.credit_blocked_ns;
-    a.aged_promotions += b.aged_promotions;
-    a.congestion_stalls += b.congestion_stalls;
-    a.congestion_stall_ns += b.congestion_stall_ns;
-    a.window_shrinks += b.window_shrinks;
     a.reconfigurations += b.reconfigurations;
     a.reconfig_quiesce_ns += b.reconfig_quiesce_ns;
     a.reconfig_remap_ns += b.reconfig_remap_ns;
@@ -263,11 +250,6 @@ CreditBank& Runtime::credits(core::NodeId n) {
   return *credit_banks_[static_cast<std::size_t>(n)];
 }
 
-CongestionControl& Runtime::congestion(core::NodeId n) {
-  assert(n >= 0 && n < num_nodes());
-  return *congestion_[static_cast<std::size_t>(n)];
-}
-
 void Runtime::spawn(ProcId p, std::function<sim::Co<void>(Proc&)> program) {
   programs_.push_back(std::move(program));
   // The program body runs on its node from the first instruction, and a
@@ -310,10 +292,6 @@ void Runtime::validate_quiescent() {
   }
   VTOPO_CHECK_ALWAYS(inflight_requests() == 0,
                      "issued request never completed at its origin");
-  for (const auto& cc : congestion_) {
-    VTOPO_CHECK_ALWAYS(cc->idle(),
-                       "congestion window slot held past shutdown");
-  }
   // Check the cumulative forwarding depth against the loosest bound of
   // any topology generation installed during the run: after a live
   // reconfiguration to a shallower topology, hops that were legal under
@@ -465,13 +443,12 @@ void Runtime::note_first_hop_ok(core::NodeId hop) {
   });
 }
 
-void Runtime::reclaim_lease(core::NodeId holder, core::NodeId receiver,
-                            Priority cls) {
+void Runtime::reclaim_lease(core::NodeId holder, core::NodeId receiver) {
   if (!cfg_.armci.lease_reclaim) return;  // chaos knob: leak instead
   CreditBank* bank = credit_banks_[static_cast<std::size_t>(holder)].get();
   Runtime* rt = this;
-  auto release = [rt, bank, receiver, cls] {
-    bank->release(receiver, cls);
+  auto release = [rt, bank, receiver] {
+    bank->release(receiver);
     ++rt->stats().credits_reclaimed;
   };
   // The bank belongs to `holder`, which may live on another shard (or
@@ -493,9 +470,6 @@ RequestPtr Runtime::clone_request(const Request& r) {
   c->target_node = r.target_node;
   c->attempt = r.attempt;
   c->cls = r.cls;
-  // The flag marks "this logical op holds a window slot"; every copy
-  // carries it so whichever response completes first frees the slot.
-  c->window_slot_taken = r.window_slot_taken;
   c->addr = r.addr;
   c->acc_type = r.acc_type;
   c->scale = r.scale;
@@ -549,7 +523,7 @@ void Runtime::send_request_msg(RequestPtr r, core::NodeId src,
     // The hop's buffer-credit lease dies with the message; reclaim it so
     // flow control recovers. The op itself is recovered by the origin's
     // retry watchdog (its RequestPtr copy keeps the request alive).
-    if (r->hop_credit_taken) reclaim_lease(src, dst, r->cls);
+    if (r->hop_credit_taken) reclaim_lease(src, dst);
     return;
   }
   // The target's worker (or shard) submits the request to its own CHT.
@@ -573,8 +547,7 @@ void Runtime::send_request_msg(RequestPtr r, core::NodeId src,
          });
 }
 
-void Runtime::send_ack_msg(core::NodeId from, core::NodeId upstream,
-                           Priority cls) {
+void Runtime::send_ack_msg(core::NodeId from, core::NodeId upstream) {
   ++stats().acks;
   const sim::FaultInjector::MsgFault f =
       message_fault(from, upstream, MsgClass::kAck, /*lock_traffic=*/false);
@@ -582,7 +555,7 @@ void Runtime::send_ack_msg(core::NodeId from, core::NodeId upstream,
     ++stats().msgs_dropped;
     // A lost ack strands the lease at the upstream holder; reclaim it
     // (or, with lease_reclaim off, leak it — the validate death test).
-    reclaim_lease(upstream, from, cls);
+    reclaim_lease(upstream, from);
     return;
   }
   if (f.delay > 0) ++stats().msgs_delayed;
@@ -590,7 +563,7 @@ void Runtime::send_ack_msg(core::NodeId from, core::NodeId upstream,
   // any parked acquire waiter it resumes) is confined there.
   CreditBank& bank = credits(upstream);
   travel(from, upstream, cfg_.armci.ack_bytes, cht_stream(from), f.delay,
-         [&bank, from, cls] { bank.release(from, cls); });
+         [&bank, from] { bank.release(from); });
 }
 
 void Runtime::send_response_msg(RequestPtr req, Response resp,
@@ -613,22 +586,12 @@ void Runtime::send_response_msg(RequestPtr req, Response resp,
     // (and lets the reconfigure quiesce proceed); late duplicates —
     // from retries or duplicated requests — are absorbed here. Runs at
     // the origin node, the same context that issued the op, so the
-    // future, congestion window and in-flight counter it touches all
-    // live there.
+    // future and in-flight counter it touches both live there.
     if (req->response_future->ready()) {
       ++rt->stats().dup_suppressed;
       return;
     }
     rt->note_request_completed();
-    // Endpoint congestion: the logical op's window slot (taken at issue,
-    // carried by every retry/duplicate copy) frees exactly once, here at
-    // the first completion, feeding the piggybacked queue depth into the
-    // per-target AIMD window.
-    if (req->window_slot_taken &&
-        rt->congestion(req->origin_node)
-            .complete(req->target_node, resp.queue_backlog)) {
-      ++rt->stats().window_shrinks;
-    }
     req->response_future->set(std::move(resp));
   };
   travel(from, dst, wire_bytes, cht_stream(from), f.delay,
@@ -686,12 +649,12 @@ sim::Co<void> Runtime::reissue(RequestPtr r) {
   const core::NodeId hop = next_hop_for(origin, r->target_node);
   CreditBank& bank = credits(origin);
   const sim::TimeNs t0 = engine().now();
-  co_await bank.acquire(hop, r->cls);
+  co_await bank.acquire(hop);
   const sim::TimeNs blocked = engine().now() - t0;
   bank.add_blocked(blocked);
   stats().credit_blocked_ns += blocked;
   if (r->response_future->ready()) {
-    bank.release(hop, r->cls);  // raced with a late response: hand it back
+    bank.release(hop);  // raced with a late response: hand it back
     co_return;
   }
   r->upstream_node = origin;

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "armci/buffers.hpp"
-#include "armci/congestion.hpp"
 #include "armci/memory.hpp"
 #include "armci/params.hpp"
 #include "armci/proc.hpp"
@@ -70,14 +69,7 @@ struct RuntimeStats {
   sim::TimeNs credit_blocked_ns = 0; ///< total sender time blocked on
                                      ///< exhausted buffer credits
 
-  // ---- QoS counters (all zero while qos.enabled is false) ----
-  std::uint64_t aged_promotions = 0;   ///< dequeues boosted above their
-                                       ///< nominal class by aging
-  std::uint64_t reserved_grants = 0;   ///< critical credit acquires served
-                                       ///< from a reserved lane
-  std::uint64_t congestion_stalls = 0; ///< issues parked on a full window
-  sim::TimeNs congestion_stall_ns = 0; ///< total origin time so parked
-  std::uint64_t window_shrinks = 0;    ///< AIMD multiplicative decreases
+  // ---- Reconfiguration counters (all zero until reconfigure() runs) ----
   std::uint64_t reconfigurations = 0;   ///< completed reconfigure() calls
   sim::TimeNs reconfig_quiesce_ns = 0;  ///< total time draining the
                                         ///< request path before remaps
@@ -210,13 +202,13 @@ class Runtime {
   [[nodiscard]] Backend backend() const { return transport_->kind(); }
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] const ArmciParams& params() const { return cfg_.armci; }
-  /// Live QoS knobs. The CHT queues, credit banks, and congestion
-  /// windows all read these through a pointer, so set_qos() retunes the
-  /// whole request path in place — no reconstruction, no drain. Call it
-  /// only from a serial context (main thread, or a global-node task):
-  /// it mutates state every shard reads.
-  [[nodiscard]] const QosParams& qos() const { return cfg_.armci.qos; }
-  void set_qos(const QosParams& q) { cfg_.armci.qos = q; }
+  /// Live QoS switch (ArmciParams::qos). Every CHT queue reads it
+  /// through a pointer, so set_qos() switches the whole request path in
+  /// place — no reconstruction, no drain. Call it only from a serial
+  /// context (main thread, or a global-node task): it mutates state
+  /// every shard reads.
+  [[nodiscard]] bool qos() const { return cfg_.armci.qos; }
+  void set_qos(bool on) { cfg_.armci.qos = on; }
   [[nodiscard]] GlobalMemory& memory() { return memory_; }
   /// The currently installed topology. Do not cache the reference
   /// across a suspension point — a reconfiguration may swap it.
@@ -264,9 +256,6 @@ class Runtime {
   [[nodiscard]] Proc& proc(ProcId p);
   [[nodiscard]] Cht& cht(core::NodeId n);
   [[nodiscard]] CreditBank& credits(core::NodeId n);
-  /// Per-origin-node endpoint congestion windows (inert while
-  /// qos.enabled && qos.congestion is false).
-  [[nodiscard]] CongestionControl& congestion(core::NodeId n);
   /// Recycling pool all CHT-mediated requests are drawn from (the
   /// calling shard's pool on the sharded runtime; remote frees route
   /// home through the serial phase).
@@ -429,10 +418,8 @@ class Runtime {
                         std::int64_t wire_bytes,
                         net::Network::StreamKey stream);
   /// Send the buffer-credit ack `from` -> `upstream` releasing one
-  /// credit of edge (from <- upstream) on arrival. `cls` is the class
-  /// the credit was acquired under (reserved-lane accounting).
-  void send_ack_msg(core::NodeId from, core::NodeId upstream,
-                    Priority cls = Priority::kNormal);
+  /// credit of edge (from <- upstream) on arrival.
+  void send_ack_msg(core::NodeId from, core::NodeId upstream);
   /// Send the response for `req` back to its origin node. Completion is
   /// gated on the origin's future: the first response to arrive
   /// completes the op, later (duplicate) responses are absorbed.
@@ -493,9 +480,8 @@ class Runtime {
   void apply_fault(const sim::FaultEvent& e, bool begin);
   /// Reclaim the buffer-credit lease a lost message would have returned:
   /// after lease_reclaim_delay, release one credit of edge
-  /// (holder's bank, toward `receiver`) under the class it was taken.
-  void reclaim_lease(core::NodeId holder, core::NodeId receiver,
-                     Priority cls);
+  /// (holder's bank, toward `receiver`).
+  void reclaim_lease(core::NodeId holder, core::NodeId receiver);
   /// Deep copy of a request for duplication / retry. The clone shares
   /// the original's id (the dedup sequence number) and response future;
   /// hop bookkeeping is reset.
@@ -556,7 +542,6 @@ class Runtime {
   std::deque<ShardSlot> shard_slots_;
   std::vector<std::unique_ptr<Cht>> chts_;
   std::vector<std::unique_ptr<CreditBank>> credit_banks_;
-  std::vector<std::unique_ptr<CongestionControl>> congestion_;
   // Deque: procs are built in place and never move (program coroutines
   // hold Proc&), without one heap block per proc.
   std::deque<Proc> procs_;

@@ -1,8 +1,7 @@
 // Transport/executor seam between the ARMCI runtime and its backends.
 //
-// The runtime's protocol machinery (Proc issue paths, CHT actors,
-// CreditBank, QoS, congestion control) is written against two
-// primitives only:
+// The runtime's protocol machinery (Proc issue paths, CHT actors and
+// their QoS queues, CreditBank) is written against two primitives only:
 //
 //   * a per-node `sim::Engine` handle — the *executor facade* — that
 //     provides schedule_at/schedule_after/schedule_on_node/now for the

@@ -142,26 +142,6 @@ TEST(ValidateDeath, UnbalancedReleaseAborts) {
       "invariant violated");
 }
 
-TEST(ValidateDeath, LeakedReservedLaneCreditAborts) {
-  sim::Engine eng;
-  armci::QosParams qos;
-  qos.enabled = true;
-  qos.reserve_critical = 1;
-  armci::CreditBank bank(eng, 2, {1}, &qos);
-  EXPECT_DEATH(
-      {
-        // Bulk drains the shared lane, the emergency credit comes out
-        // of the critical-only lane...
-        (void)bank.acquire(1, armci::Priority::kBulk).await_ready();
-        (void)bank.acquire(1, armci::Priority::kCritical).await_ready();
-        // ...and is then returned under the wrong class: the lane hold
-        // leaks and per-class conservation breaks.
-        bank.release(1, armci::Priority::kNormal);
-        bank.check_conserved("seeded violation");
-      },
-      "invariant violated");
-}
-
 TEST(ValidateDeath, HeldCreditFailsQuiescence) {
   sim::Engine eng;
   armci::CreditBank bank(eng, 2, {1});

@@ -49,9 +49,9 @@ struct ChaosRun {
 /// shared state survives crashes), under the spec's fault plan.
 /// `shards` == 0 runs the legacy single-threaded engine; >= 1 runs the
 /// sharded engine with that many shards. `qos` arms the criticality-
-/// aware request path (weighted CHT dequeue + aging, reserved credit
-/// lanes, congestion windows) — the workload already mixes the three
-/// classes (acc = normal, fetch_add = critical, get_v = bulk).
+/// aware request path (the weighted CHT dequeue) — the workload already
+/// mixes the three classes (acc = normal, fetch_add = critical, get_v =
+/// bulk).
 ChaosRun run_chaos(const CaseSpec& spec, int shards = 0, bool qos = false) {
   sim::Engine eng;
   armci::Runtime::Config cfg;
@@ -60,7 +60,7 @@ ChaosRun run_chaos(const CaseSpec& spec, int shards = 0, bool qos = false) {
   cfg.topology = spec.kind;
   cfg.seed = spec.seed;
   cfg.armci.buffers_per_process = spec.buffers_per_process;
-  cfg.armci.qos.enabled = qos;
+  cfg.armci.qos = qos;
   cfg.faults = spec.fault_plan();
   cfg.shards = std::max(shards, 1);
   std::unique_ptr<armci::Runtime> rt_owner =
@@ -243,19 +243,19 @@ PropResult replay_identical(const CaseSpec& spec) {
 
 // --- QoS-enabled properties ------------------------------------------
 // Same chaos machinery with the criticality-aware request path armed:
-// reserved lanes must not break per-class credit conservation, and the
-// weighted dequeue with aging must not starve any op out of completing.
+// reordering the CHT queues must not break credit conservation, and the
+// weighted dequeue must not starve any op out of completing.
 
 PropResult qos_credits_conserved(const CaseSpec& spec) {
   const ChaosRun r = run_chaos(spec, 0, /*qos=*/true);
   if (r.deadlocked) return PropResult::fail("deadlocked before check");
   if (!r.banks_conserved) {
     return PropResult::fail(
-        "per-class credit conservation lost with reserved lanes armed");
+        "credit conservation lost with QoS scheduling");
   }
   if (!r.banks_idle) {
     return PropResult::fail(
-        "credit bank not idle at quiescence (leaked lane credit)");
+        "credit bank not idle at quiescence (leaked credit)");
   }
   if (r.inflight != 0 || r.pool_live != 0) {
     return PropResult::fail(
@@ -272,9 +272,9 @@ PropResult qos_no_starvation(const CaseSpec& spec) {
         "deadlock with QoS scheduling: " + std::to_string(r.stranded) +
         " task(s) stranded");
   }
-  // Every issued op completed exactly once: the aging path keeps bulk
-  // draining under the weighted dequeue — a starved op would strand the
-  // counter short (its proc never reaches the final barrier).
+  // Every issued op completed exactly once: the per-round bulk quantum
+  // keeps bulk draining under the weighted dequeue — a starved op would
+  // strand the counter short (its proc never reaches the final barrier).
   if (r.final_counter != r.expected_counter) {
     return PropResult::fail(
         "counter=" + std::to_string(r.final_counter) + " expected " +

@@ -79,7 +79,7 @@ void expect_caught_by(const char* rule, const std::string& file,
 TEST(LintMutation, R1ReissueRaceDropsRelease) {
   // The raced-response branch hands the lease back before co_return.
   expect_caught_by("R1", "src/armci/runtime.cpp",
-                   "bank.release(hop, r->cls);", "");
+                   "bank.release(hop);", "");
 }
 
 TEST(LintMutation, R1ReissueEarlyReturnBeforeHandOff) {
@@ -91,8 +91,8 @@ TEST(LintMutation, R1ReissueEarlyReturnBeforeHandOff) {
 
 TEST(LintMutation, R1ForwardEarlyReturnAfterAcquire) {
   expect_caught_by("R1", "src/armci/cht.cpp",
-                   "  co_await bank.acquire(next, r->cls);\n",
-                   "  co_await bank.acquire(next, r->cls);\n"
+                   "  co_await bank.acquire(next);\n",
+                   "  co_await bank.acquire(next);\n"
                    "  if (r->forwards > 100) co_return;\n");
 }
 

@@ -14,10 +14,11 @@
 #      (ctest -L "fault|proptest") plus the 30-second fault_bench
 #      smoke (goodput retained + recovery latency, exactly-once).
 #   5. QoS gate: the criticality-aware request-path suites (ctest -L
-#      qos) plus byte-diffs of the QoS-ENABLED fig7 pipeline — the
-#      class-aware queue, reserved lanes and congestion windows must
-#      stay deterministic across --jobs and shard counts, not just in
-#      the disabled-identity configuration the goldens pin.
+#      qos), whose QosRuntime.QosOnOutputInvariantAcrossShardCounts is
+#      the mixed-class determinism check (bulk and critical at shards
+#      1/2/4), plus byte-diffs of the QoS-ENABLED fig7 pipeline: its
+#      --qos class-summary path must stay deterministic across --jobs
+#      and shard counts.
 #   6. Threads-backend gate (ctest -L threads): the sim-vs-threads
 #      differential oracle, the real-thread quiescence battery and the
 #      executor tests.
@@ -103,9 +104,11 @@ ctest --test-dir build -L "fault|proptest" -j "$(nproc)" --output-on-failure
 echo "== qos =="
 ctest --test-dir build -L qos -j "$(nproc)" --output-on-failure
 
-# QoS-enabled determinism: with the class-aware queue, reserved lanes
-# and congestion windows live, fig7 must still be byte-identical across
-# the threaded --jobs sweep and across shard counts.
+# QoS-enabled determinism: fig7 --qos issues only (critical)
+# fetch-adds, so these diffs check its --qos class-summary path across
+# the threaded --jobs sweep and across shard counts. Mixed bulk and
+# critical traffic is QosRuntime.QosOnOutputInvariantAcrossShardCounts
+# in the ctest -L qos selection above.
 ./build/bench/fig7_fetchadd_contention --quick --qos --nodes 16 --ppn 2 \
   --iters 2 --jobs 1 >"$fig_out/fig7_qos_j1.txt"
 ./build/bench/fig7_fetchadd_contention --quick --qos --nodes 16 --ppn 2 \

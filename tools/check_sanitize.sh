@@ -12,9 +12,10 @@
 #      sharded identity suite (byte-identity at shards 1/2/4/8 and
 #      kThreads vs kSerial) and the hotpath bench's --shards 4
 #      --shard-threads path (window barriers, mailboxes, remote frees).
-#   4. TSan over the QoS battery (ctest -L qos): the class-aware queue,
-#      reserved credit lanes and congestion windows, including the
-#      sharded storm test, with the race detector watching.
+#   4. TSan over the QoS battery (ctest -L qos): the class-weighted CHT
+#      queue, including the sharded mixed-class storm test
+#      (QosRuntime.QosOnOutputInvariantAcrossShardCounts) and the
+#      qos_bench smoke, with the race detector watching.
 #   5. TSan over the threads transport backend (ctest -L threads): one
 #      real worker thread per node, cross-thread request/ack/response
 #      posts through the inboxes, shared-memory payload copies and the
@@ -75,8 +76,8 @@ diff -u "$tsan_out/fig7_serial.txt" "$tsan_out/fig7_jobs4.txt"
 # and thread modes with the race detector watching the window protocol.
 ./build-tsan/tests/sharded_identity_test
 
-# Criticality-aware QoS battery: queue scheduling, reserved lanes and
-# congestion windows (covers the sharded QoS storm invariance test).
+# Criticality-aware QoS battery: class-weighted queue scheduling, the
+# sharded mixed-class storm invariance test and the qos_bench smoke.
 ctest --test-dir build-tsan -L qos -j "$(nproc)" --output-on-failure
 
 # Threads transport backend: per-node workers with private timer heaps,
