@@ -62,6 +62,7 @@ sim::Co<void> worker(Proc& p, ga::GlobalArray2D& a, ga::GlobalArray2D& b,
 int main(int argc, char** argv) {
   const std::int64_t n = argc > 1 ? std::atoll(argv[1]) : 48;
 
+  int status = 0;
   for (const auto kind : core::all_topology_kinds()) {
     sim::Engine engine;
     armci::Runtime::Config cfg;
@@ -97,6 +98,7 @@ int main(int argc, char** argv) {
                 wrong == 0 ? "correct" : "WRONG", sim::to_us(engine.now()),
                 static_cast<unsigned long long>(rt.stats().requests),
                 static_cast<unsigned long long>(rt.stats().forwards));
+    if (wrong != 0) status = 1;
   }
-  return 0;
+  return status;
 }

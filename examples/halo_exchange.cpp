@@ -98,6 +98,7 @@ sim::Co<void> step_program(Proc& p, std::shared_ptr<Field> f, int steps,
 int main(int argc, char** argv) {
   const int steps = argc > 1 ? std::atoi(argv[1]) : 4;
 
+  int status = 0;
   for (const auto kind : core::all_topology_kinds()) {
     sim::Engine engine;
     armci::Runtime::Config cfg;
@@ -127,6 +128,7 @@ int main(int argc, char** argv) {
                 total_errors == 0 ? "all ghosts correct"
                                   : "GHOST ERRORS",
                 sim::to_us(engine.now()));
+    if (total_errors != 0) status = 1;
   }
-  return 0;
+  return status;
 }

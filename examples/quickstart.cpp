@@ -89,13 +89,12 @@ int main() {
 
   // Validate results through the global memory.
   const std::int64_t n = rt.num_procs();
+  const std::int64_t counter = rt.memory().read_i64(GAddr{0, lay.counter});
+  const double sum = rt.memory().read_f64(GAddr{0, lay.sum});
+  const auto expected_sum = static_cast<double>(n * (n - 1) / 2);
   std::printf("counter: %lld (expected %lld)\n",
-              static_cast<long long>(
-                  rt.memory().read_i64(GAddr{0, lay.counter})),
-              static_cast<long long>(n));
-  std::printf("sum of ids: %.0f (expected %.0f)\n",
-              rt.memory().read_f64(GAddr{0, lay.sum}),
-              static_cast<double>(n * (n - 1) / 2));
+              static_cast<long long>(counter), static_cast<long long>(n));
+  std::printf("sum of ids: %.0f (expected %.0f)\n", sum, expected_sum);
 
   const auto& st = rt.stats();
   std::printf("protocol: %llu requests, %llu forwards, %llu acks, "
@@ -106,5 +105,5 @@ int main() {
               static_cast<unsigned long long>(st.direct_ops));
   std::printf("simulated wall time: %.1f us\n",
               sim::to_us(engine.now()));
-  return 0;
+  return counter == n && sum == expected_sum ? 0 : 1;
 }

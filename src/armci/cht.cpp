@@ -177,32 +177,11 @@ void Cht::execute(const RequestPtr& r) {
     case OpCode::kAcc: {
       std::int64_t off = 0;
       for (const auto& seg : r->segs) {
-        const GAddr dst{r->target_proc, seg.target_offset};
-        const auto* bytes = r->data.data() + off;
-        switch (r->acc_type) {
-          case AccType::kF64: {
-            const auto n = static_cast<std::size_t>(seg.bytes / 8);
-            std::vector<double> vals(n);
-            std::memcpy(vals.data(), bytes, n * sizeof(double));
-            mem.accumulate_f64(dst, vals, r->scale);
-            break;
-          }
-          case AccType::kI64: {
-            const auto n = static_cast<std::size_t>(seg.bytes / 8);
-            std::vector<std::int64_t> vals(n);
-            std::memcpy(vals.data(), bytes, n * sizeof(std::int64_t));
-            mem.accumulate_i64(dst, vals,
-                               static_cast<std::int64_t>(r->scale));
-            break;
-          }
-          case AccType::kF32: {
-            const auto n = static_cast<std::size_t>(seg.bytes / 4);
-            std::vector<float> vals(n);
-            std::memcpy(vals.data(), bytes, n * sizeof(float));
-            mem.accumulate_f32(dst, vals, static_cast<float>(r->scale));
-            break;
-          }
-        }
+        const auto n = static_cast<std::size_t>(seg.bytes / 8);
+        std::vector<double> vals(n);
+        std::memcpy(vals.data(), r->data.data() + off, n * sizeof(double));
+        mem.accumulate_f64(GAddr{r->target_proc, seg.target_offset}, vals,
+                           r->scale);
         off += seg.bytes;
       }
       break;
@@ -344,13 +323,15 @@ const Cht::DedupEntry* Cht::find_dedup(ProcId origin,
 
 void Cht::remember_dedup(ProcId origin, std::uint64_t id,
                          std::int64_t value) {
-  const std::size_t cap = rt_->params().dedup_cache_entries;
-  if (cap == 0) return;
-  if (dedup_.size() < cap) {
+  // Bound of the duplicate-completion cache. Dedup only matters for
+  // non-idempotent ops (acc, fetch-&-add, swap); idempotent re-execution
+  // is harmless and is not cached.
+  constexpr std::size_t kDedupCacheEntries = 4096;
+  if (dedup_.size() < kDedupCacheEntries) {
     dedup_.push_back(DedupEntry{origin, id, value});
   } else {
     // FIFO ring: overwrite the oldest remembered completion.
-    dedup_[dedup_next_ % cap] = DedupEntry{origin, id, value};
+    dedup_[dedup_next_ % kDedupCacheEntries] = DedupEntry{origin, id, value};
     ++dedup_next_;
   }
 }

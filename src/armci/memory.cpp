@@ -81,33 +81,6 @@ void GlobalMemory::accumulate_f64(GAddr dst, std::span<const double> src,
   }
 }
 
-void GlobalMemory::accumulate_i64(GAddr dst,
-                                  std::span<const std::int64_t> src,
-                                  std::int64_t scale) {
-  check(dst, static_cast<std::int64_t>(src.size() * sizeof(std::int64_t)));
-  auto* base = ensure(dst.proc).data() + dst.offset;
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    std::int64_t cur;
-    std::memcpy(&cur, base + i * sizeof(std::int64_t),
-                sizeof(std::int64_t));
-    cur += scale * src[i];
-    std::memcpy(base + i * sizeof(std::int64_t), &cur,
-                sizeof(std::int64_t));
-  }
-}
-
-void GlobalMemory::accumulate_f32(GAddr dst, std::span<const float> src,
-                                  float scale) {
-  check(dst, static_cast<std::int64_t>(src.size() * sizeof(float)));
-  auto* base = ensure(dst.proc).data() + dst.offset;
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    float cur;
-    std::memcpy(&cur, base + i * sizeof(float), sizeof(float));
-    cur += scale * src[i];
-    std::memcpy(base + i * sizeof(float), &cur, sizeof(float));
-  }
-}
-
 std::int64_t GlobalMemory::fetch_add_i64(GAddr addr, std::int64_t delta) {
   const std::int64_t old = read_i64(addr);
   write_i64(addr, old + delta);

@@ -43,11 +43,6 @@ class GlobalMemory {
 
   /// dst[i] += scale * src[i] over doubles (ARMCI_Acc with ARMCI_ACC_DBL).
   void accumulate_f64(GAddr dst, std::span<const double> src, double scale);
-  /// Integer accumulate (ARMCI_ACC_LNG).
-  void accumulate_i64(GAddr dst, std::span<const std::int64_t> src,
-                      std::int64_t scale);
-  /// Single-precision accumulate (ARMCI_ACC_FLT).
-  void accumulate_f32(GAddr dst, std::span<const float> src, float scale);
 
   /// Atomic read-modify-write on an int64 cell.
   std::int64_t fetch_add_i64(GAddr addr, std::int64_t delta);

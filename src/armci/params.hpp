@@ -1,7 +1,6 @@
 // Tunable parameters of the ARMCI-like runtime model.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "sim/time.hpp"
@@ -49,31 +48,17 @@ struct ArmciParams {
   /// a watchdog: if the response has not arrived after `retry_timeout`,
   /// the origin re-issues an idempotent copy (same sequence id — the
   /// target CHT suppresses duplicate completions) and backs off
-  /// exponentially by `retry_backoff` up to `retry_backoff_cap`. After
-  /// `retry_max_attempts` re-issues without a completion the run aborts
-  /// via validate_fail (a lost completion is an invariant violation, not
-  /// a soft error).
+  /// exponentially up to `retry_backoff_cap`. After `retry_max_attempts`
+  /// re-issues without a completion the run aborts via validate_fail (a
+  /// lost completion is an invariant violation, not a soft error).
   sim::TimeNs retry_timeout = sim::us(2000.0);
-  double retry_backoff = 2.0;
   sim::TimeNs retry_backoff_cap = sim::us(16000.0);
   int retry_max_attempts = 10;
-  /// Consecutive first-hop timeouts toward one next-hop node before the
-  /// runtime heals around it (buffer-dedication edges remapped to reach
-  /// targets directly, bypassing the suspect dimension neighbor).
-  int heal_timeout_threshold = 3;
-  /// Master switch for the heal-around overlay.
-  bool self_heal = true;
   /// Credit-lease reclamation: when a request or ack message is lost,
-  /// the credit it pinned is returned to its pool after
-  /// `lease_reclaim_delay` (modeling a NIC-level delivery timeout).
-  /// Disabling it makes every lost ack leak a credit — the seeded
-  /// violation behind the credit-leak validate test.
+  /// the credit it pinned is returned to its pool after a NIC-level
+  /// delivery timeout. Disabling it makes every lost ack leak a credit —
+  /// the seeded violation behind the credit-leak validate test.
   bool lease_reclaim = true;
-  sim::TimeNs lease_reclaim_delay = sim::us(60.0);
-  /// Bound of the per-CHT duplicate-completion cache (entries). Dedup
-  /// only matters for non-idempotent ops (acc, fetch-&-add, swap);
-  /// idempotent re-execution is harmless and is not cached.
-  std::size_t dedup_cache_entries = 4096;
 
   /// Origin-side software cost to build and issue a one-sided op.
   sim::TimeNs proc_op_overhead = sim::us(0.3);

@@ -258,7 +258,7 @@ std::int64_t max_chunk_payload(const ArmciParams& p) {
 
 std::vector<RequestPtr> Proc::chunk_put(ProcId target, OpCode op,
                                         std::span<const PutSeg> segs,
-                                        double scale, AccType acc_type) {
+                                        double scale) {
   const std::int64_t limit = max_chunk_payload(rt_->params());
   std::vector<RequestPtr> reqs;
   RequestPtr cur;
@@ -272,7 +272,6 @@ std::vector<RequestPtr> Proc::chunk_put(ProcId target, OpCode op,
     if (!cur) {
       cur = make_request(op, target);
       cur->scale = scale;
-      cur->acc_type = acc_type;
     }
   };
   for (const PutSeg& seg : segs) {
@@ -357,17 +356,9 @@ sim::Co<void> Proc::put_v(ProcId target, std::span<const PutSeg> segs) {
 
 sim::Co<void> Proc::get_v(ProcId target, std::span<const GetSeg> segs) {
   const sim::TimeNs t0 = rt_->engine().now();
-  co_await scatter_get(target,
-                       std::vector<GetSeg>(segs.begin(), segs.end()));
-  rt_->tracer().record(TraceKind::kGetV, id_, t0,
-                       rt_->engine().now() - t0);
-}
-
-sim::Co<void> Proc::scatter_get(ProcId target, std::vector<GetSeg> segs) {
   std::vector<RequestPtr> reqs = chunk_get(target, segs);
   const Priority cls =
       reqs.empty() ? Priority::kNormal : reqs.front()->cls;
-  const sim::TimeNs t0 = rt_->engine().now();
   // Remember local scatter layout: chunks partition the segment list in
   // order, so replay the same walk when responses arrive.
   std::vector<sim::Future<Response>> futs;
@@ -402,45 +393,20 @@ sim::Co<void> Proc::scatter_get(ProcId target, std::vector<GetSeg> segs) {
       }
     }
   }
-}
-
-sim::Co<void> Proc::acc_bytes(GAddr dst,
-                              std::span<const std::uint8_t> raw,
-                              double scale, AccType type) {
-  const sim::TimeNs t0 = rt_->engine().now();
-  const PutSeg seg{raw, dst.offset};
-  co_await vector_op(
-      OpCode::kAcc, dst.proc,
-      chunk_put(dst.proc, OpCode::kAcc, {&seg, 1}, scale, type));
-  rt_->tracer().record(TraceKind::kAcc, id_, t0,
+  rt_->tracer().record(TraceKind::kGetV, id_, t0,
                        rt_->engine().now() - t0);
 }
 
 sim::Co<void> Proc::acc_f64(GAddr dst, std::span<const double> src,
                             double scale) {
-  co_await acc_bytes(
-      dst,
-      {reinterpret_cast<const std::uint8_t*>(src.data()),
-       src.size() * sizeof(double)},
-      scale, AccType::kF64);
-}
-
-sim::Co<void> Proc::acc_i64(GAddr dst, std::span<const std::int64_t> src,
-                            std::int64_t scale) {
-  co_await acc_bytes(
-      dst,
-      {reinterpret_cast<const std::uint8_t*>(src.data()),
-       src.size() * sizeof(std::int64_t)},
-      static_cast<double>(scale), AccType::kI64);
-}
-
-sim::Co<void> Proc::acc_f32(GAddr dst, std::span<const float> src,
-                            float scale) {
-  co_await acc_bytes(
-      dst,
-      {reinterpret_cast<const std::uint8_t*>(src.data()),
-       src.size() * sizeof(float)},
-      static_cast<double>(scale), AccType::kF32);
+  const sim::TimeNs t0 = rt_->engine().now();
+  const PutSeg seg{{reinterpret_cast<const std::uint8_t*>(src.data()),
+                    src.size() * sizeof(double)},
+                   dst.offset};
+  co_await vector_op(OpCode::kAcc, dst.proc,
+                     chunk_put(dst.proc, OpCode::kAcc, {&seg, 1}, scale));
+  rt_->tracer().record(TraceKind::kAcc, id_, t0,
+                       rt_->engine().now() - t0);
 }
 
 sim::Co<void> Proc::put_strided(GAddr dst, std::int64_t dst_stride,
@@ -508,76 +474,6 @@ sim::Co<void> Proc::unlock(ProcId owner, std::int32_t mutex_id) {
   rt_->tracer().record(TraceKind::kUnlock, id_, t0,
                        rt_->engine().now() - t0);
 }
-
-// --------------------------------------------------------------------
-// Non-blocking variants.
-// --------------------------------------------------------------------
-
-namespace {
-
-sim::Co<void> drive_requests(Proc* self, std::vector<RequestPtr> reqs,
-                             std::vector<sim::Future<Response>> futs,
-                             sim::Future<int> done) {
-  for (auto& r : reqs) co_await self->nb_issue(std::move(r));
-  for (auto& f : futs) co_await f;
-  done.set(0);
-}
-
-}  // namespace
-
-sim::Future<int> Proc::nb_put_v(ProcId target,
-                                std::span<const PutSeg> segs) {
-  std::vector<RequestPtr> reqs =
-      chunk_put(target, OpCode::kPutV, segs, 1.0);
-  std::vector<sim::Future<Response>> futs;
-  futs.reserve(reqs.size());
-  for (auto& r : reqs) futs.push_back(make_future(r));
-  sim::Future<int> done(rt_->engine());
-  rt_->spawn_task(
-      drive_requests(this, std::move(reqs), std::move(futs), done));
-  return done;
-}
-
-sim::Future<int> Proc::nb_acc_f64(GAddr dst, std::span<const double> src,
-                                  double scale) {
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(src.data());
-  const PutSeg seg{
-      std::span<const std::uint8_t>(bytes, src.size() * sizeof(double)),
-      dst.offset};
-  std::vector<RequestPtr> reqs =
-      chunk_put(dst.proc, OpCode::kAcc, {&seg, 1}, scale);
-  std::vector<sim::Future<Response>> futs;
-  futs.reserve(reqs.size());
-  for (auto& r : reqs) futs.push_back(make_future(r));
-  sim::Future<int> done(rt_->engine());
-  rt_->spawn_task(
-      drive_requests(this, std::move(reqs), std::move(futs), done));
-  return done;
-}
-
-
-namespace {
-
-sim::Co<void> drive_get(Proc* self, ProcId target,
-                        std::vector<GetSeg> segs, sim::Future<int> done) {
-  co_await self->scatter_get(target, std::move(segs));
-  done.set(0);
-}
-
-}  // namespace
-
-sim::Future<int> Proc::nb_get_v(ProcId target,
-                                std::span<const GetSeg> segs) {
-  sim::Future<int> done(rt_->engine());
-  rt_->spawn_task(drive_get(
-      this, target, std::vector<GetSeg>(segs.begin(), segs.end()), done));
-  return done;
-}
-
-sim::Co<void> Proc::nb_issue(RequestPtr r) {
-  co_await issue_send(std::move(r));
-}
-
 
 // --------------------------------------------------------------------
 // N-level strided transfers (ARMCI_PutS/GetS/AccS).
@@ -732,9 +628,8 @@ sim::Co<void> Proc::acc_strided_f64(
                                       static_cast<std::size_t>(counts[0])),
         dst.offset + remote});
   }
-  co_await vector_op(
-      OpCode::kAcc, dst.proc,
-      chunk_put(dst.proc, OpCode::kAcc, segs, scale, AccType::kF64));
+  co_await vector_op(OpCode::kAcc, dst.proc,
+                     chunk_put(dst.proc, OpCode::kAcc, segs, scale));
 }
 
 // --------------------------------------------------------------------

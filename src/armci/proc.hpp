@@ -8,10 +8,9 @@
 //     topology and consume request buffers at every hop.
 //
 // All operations are awaitable coroutines completing at the simulated
-// instant the real operation would; nb_* variants return a Future for
-// overlap. Payloads are real bytes: data lands in GlobalMemory when the
-// simulated operation executes, so value semantics (atomicity, lock
-// mutual exclusion) are testable.
+// instant the real operation would. Payloads are real bytes: data lands
+// in GlobalMemory when the simulated operation executes, so value
+// semantics (atomicity, lock mutual exclusion) are testable.
 #pragma once
 
 #include <cstdint>
@@ -40,28 +39,6 @@ struct GetSeg {
   std::int64_t source_offset = 0;
 };
 
-/// Aggregates the completion futures of several non-blocking operations
-/// (the armci_hdl_t wait-all idiom).
-class NbHandle {
- public:
-  void add(sim::Future<int> f) { futures_.push_back(std::move(f)); }
-  /// True when every added operation has completed (ARMCI_Test).
-  [[nodiscard]] bool test() const {
-    for (const auto& f : futures_) {
-      if (!f.ready()) return false;
-    }
-    return true;
-  }
-  /// Await completion of every added operation (ARMCI_Wait).
-  [[nodiscard]] sim::Co<void> wait() {
-    for (auto& f : futures_) co_await f;
-  }
-  [[nodiscard]] std::size_t size() const { return futures_.size(); }
-
- private:
-  std::vector<sim::Future<int>> futures_;
-};
-
 class Proc {
  public:
   Proc(Runtime& rt, ProcId id);
@@ -82,16 +59,10 @@ class Proc {
 
   // --- CHT-mediated operations (travel the virtual topology) ---------
   /// dst[i] += scale * src[i] executed atomically at the target CHT
-  /// (ARMCI_Acc with ARMCI_ACC_DBL / _LNG / _FLT).
+  /// (ARMCI_Acc with ARMCI_ACC_DBL).
   [[nodiscard]] sim::Co<void> acc_f64(GAddr dst,
                                       std::span<const double> src,
                                       double scale = 1.0);
-  [[nodiscard]] sim::Co<void> acc_i64(GAddr dst,
-                                      std::span<const std::int64_t> src,
-                                      std::int64_t scale = 1);
-  [[nodiscard]] sim::Co<void> acc_f32(GAddr dst,
-                                      std::span<const float> src,
-                                      float scale = 1.0F);
   /// Vectored (noncontiguous) put/get; requests are split so each fits
   /// one request buffer, then pipelined.
   [[nodiscard]] sim::Co<void> put_v(ProcId target,
@@ -138,23 +109,6 @@ class Proc {
   [[nodiscard]] sim::Co<void> lock(ProcId owner, std::int32_t mutex_id);
   [[nodiscard]] sim::Co<void> unlock(ProcId owner, std::int32_t mutex_id);
 
-  // --- Non-blocking variants ------------------------------------------
-  /// Issue a vectored put and return a completion future.
-  sim::Future<int> nb_put_v(ProcId target, std::span<const PutSeg> segs);
-  /// Issue an accumulate and return a completion future.
-  sim::Future<int> nb_acc_f64(GAddr dst, std::span<const double> src,
-                              double scale = 1.0);
-  /// Issue a vectored get and return a completion future; the local
-  /// destination spans must stay valid until the future is awaited.
-  sim::Future<int> nb_get_v(ProcId target, std::span<const GetSeg> segs);
-  /// get_v with an owned segment list (safe to use from detached
-  /// driver tasks whose caller-side spans may go out of scope).
-  [[nodiscard]] sim::Co<void> scatter_get(ProcId target,
-                                          std::vector<GetSeg> segs);
-  /// Issue one prepared request without awaiting its response (used by
-  /// the nb_* driver tasks; exposed for advanced pipelining).
-  [[nodiscard]] sim::Co<void> nb_issue(RequestPtr r);
-
   // --- Synchronization & local work ------------------------------------
   [[nodiscard]] sim::Co<void> barrier();
 
@@ -175,17 +129,13 @@ class Proc {
   [[nodiscard]] sim::Co<void> issue_send(RequestPtr r);
   /// issue_send + await response.
   [[nodiscard]] sim::Co<Response> roundtrip(RequestPtr r);
-  /// Split vectored segments into buffer-sized requests and issue them
-  /// pipelined; `gather_into` scatters response data for gets.
+  /// Issue the buffer-sized requests of a vectored put or accumulate
+  /// pipelined, then await every completion.
   [[nodiscard]] sim::Co<void> vector_op(OpCode op, ProcId target,
                                         std::vector<RequestPtr> reqs);
   std::vector<RequestPtr> chunk_put(ProcId target, OpCode op,
                                     std::span<const PutSeg> segs,
-                                    double scale,
-                                    AccType acc_type = AccType::kF64);
-  [[nodiscard]] sim::Co<void> acc_bytes(GAddr dst,
-                                        std::span<const std::uint8_t> raw,
-                                        double scale, AccType type);
+                                    double scale);
   std::vector<RequestPtr> chunk_get(ProcId target,
                                     std::span<const GetSeg> segs);
 

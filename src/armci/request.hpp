@@ -25,11 +25,8 @@
 
 namespace vtopo::armci {
 
-/// Element type of an accumulate (ARMCI_ACC_DBL / _LNG / _FLT).
-enum class AccType : std::uint8_t { kF64, kI64, kF32 };
-
 enum class OpCode : std::uint8_t {
-  kAcc,       ///< dst[i] += scale * src[i] (typed accumulate)
+  kAcc,       ///< dst[i] += scale * src[i] over doubles
   kPutV,      ///< vectored (noncontiguous) put
   kGetV,      ///< vectored (noncontiguous) get
   kPutS,      ///< strided put (compact descriptor, expanded at target)
@@ -154,7 +151,6 @@ struct Request {
   std::int64_t enqueued_ns = 0;
 
   GAddr addr{};                      ///< target address (atomic/acc/lock id base)
-  AccType acc_type = AccType::kF64;  ///< accumulate element type
   double scale = 1.0;                ///< accumulate scale factor
   std::int64_t imm = 0;              ///< fetch-&-add delta / swap value
   std::int32_t mutex_id = 0;         ///< lock/unlock mutex index
@@ -349,7 +345,6 @@ class RequestPool {
     r->cls = Priority::kNormal;
     r->enqueued_ns = 0;
     r->addr = GAddr{};
-    r->acc_type = AccType::kF64;
     r->scale = 1.0;
     r->imm = 0;
     r->mutex_id = 0;

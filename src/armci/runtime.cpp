@@ -344,7 +344,7 @@ void Runtime::apply_fault(const sim::FaultEvent& e, bool begin) {
       if (!a_ok) return;
       node_down_[static_cast<std::size_t>(a)] = begin ? 1 : 0;
       if (begin) {
-        if (cfg_.armci.self_heal) heal_around(a);
+        heal_around(a);
       } else {
         unheal(a);
       }
@@ -427,12 +427,13 @@ core::NodeId Runtime::next_hop_for(core::NodeId src, core::NodeId dst) {
 }
 
 void Runtime::note_first_hop_timeout(core::NodeId hop) {
+  // Consecutive first-hop timeouts toward one next-hop node before the
+  // runtime heals around it.
+  constexpr int kHealTimeoutThreshold = 3;
   transport_->run_serial([this, hop] {
     if (hop < 0 || hop >= num_nodes()) return;
     int& n = first_hop_timeouts_[static_cast<std::size_t>(hop)];
-    if (++n >= cfg_.armci.heal_timeout_threshold && cfg_.armci.self_heal) {
-      apply_heal_around(hop);
-    }
+    if (++n >= kHealTimeoutThreshold) apply_heal_around(hop);
   });
 }
 
@@ -444,6 +445,9 @@ void Runtime::note_first_hop_ok(core::NodeId hop) {
 }
 
 void Runtime::reclaim_lease(core::NodeId holder, core::NodeId receiver) {
+  // NIC-level delivery timeout after which a lost message's credit
+  // returns to its pool.
+  constexpr sim::TimeNs kLeaseReclaimDelay = sim::us(60.0);
   if (!cfg_.armci.lease_reclaim) return;  // chaos knob: leak instead
   CreditBank* bank = credit_banks_[static_cast<std::size_t>(holder)].get();
   Runtime* rt = this;
@@ -455,8 +459,7 @@ void Runtime::reclaim_lease(core::NodeId holder, core::NodeId receiver) {
   // worker thread) than the caller: route the delayed release through
   // the transport to its node. On the legacy engine this reduces to the
   // plain schedule_after the code used before the seam existed.
-  transport_->post_after(static_cast<int>(holder),
-                         cfg_.armci.lease_reclaim_delay,
+  transport_->post_after(static_cast<int>(holder), kLeaseReclaimDelay,
                          std::move(release));
 }
 
@@ -471,7 +474,6 @@ RequestPtr Runtime::clone_request(const Request& r) {
   c->attempt = r.attempt;
   c->cls = r.cls;
   c->addr = r.addr;
-  c->acc_type = r.acc_type;
   c->scale = r.scale;
   c->imm = r.imm;
   c->mutex_id = r.mutex_id;
@@ -607,6 +609,9 @@ void Runtime::arm_retry_watchdog(const RequestPtr& r) {
 sim::Co<void> Runtime::retry_watchdog(RequestPtr r,
                                       sim::Future<Response> fut,
                                       core::NodeId first_hop) {
+  // Each unanswered attempt multiplies the timeout, up to
+  // retry_backoff_cap.
+  constexpr double kRetryBackoff = 2.0;
   const ArmciParams& p = cfg_.armci;
   sim::TimeNs timeout = p.retry_timeout;
   for (int attempt = 1; attempt <= p.retry_max_attempts; ++attempt) {
@@ -624,7 +629,7 @@ sim::Co<void> Runtime::retry_watchdog(RequestPtr r,
     spawn_task(reissue(std::move(copy)));
     timeout = std::min(
         static_cast<sim::TimeNs>(static_cast<double>(timeout) *
-                                 p.retry_backoff),
+                                 kRetryBackoff),
         p.retry_backoff_cap);
   }
   co_await sim::Sleep(engine(), timeout);

@@ -479,7 +479,7 @@ class Runtime {
   // Fault-path internals (all no-ops while disarmed).
   void apply_fault(const sim::FaultEvent& e, bool begin);
   /// Reclaim the buffer-credit lease a lost message would have returned:
-  /// after lease_reclaim_delay, release one credit of edge
+  /// after a fixed delivery timeout, release one credit of edge
   /// (holder's bank, toward `receiver`).
   void reclaim_lease(core::NodeId holder, core::NodeId receiver);
   /// Deep copy of a request for duplication / retry. The clone shares

@@ -1,8 +1,8 @@
 // Size-class freelists for coroutine frames and other per-op heap blocks.
 //
 // Every simulated ARMCI operation used to cost several allocator round
-// trips: one coroutine frame per issue_send/roundtrip/nb_issue, one
-// shared Future state, one Request. The engine's slot pool (PR 1) showed
+// trips: one coroutine frame per issue_send/roundtrip, one shared Future
+// state, one Request. The engine's slot pool (PR 1) showed
 // the pattern: grow to the high-water mark once, then recycle. FramePool
 // generalizes it to variable-size blocks via power-of-two size classes.
 //

@@ -1,8 +1,7 @@
-// Extended ARMCI surface: typed accumulates, N-level strided
-// transfers, non-blocking handle sets, and the allreduce collective.
+// Extended ARMCI surface: N-level strided transfers and the allreduce
+// collective.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "armci/proc.hpp"
@@ -19,54 +18,6 @@ Runtime::Config mfcg16() {
   cfg.procs_per_node = 2;
   cfg.topology = TopologyKind::kMfcg;
   return cfg;
-}
-
-TEST(TypedAcc, Int64Accumulate) {
-  sim::Engine eng;
-  Runtime rt(eng, mfcg16());
-  const auto off = rt.memory().alloc_all(4 * 8);
-  rt.memory().write_i64(GAddr{9, off}, 100);
-  rt.spawn(2, [off](Proc& p) -> sim::Co<void> {
-    const std::vector<std::int64_t> v{1, 2, 3, 4};
-    co_await p.acc_i64(GAddr{9, off}, v, 10);
-  });
-  rt.run_all();
-  EXPECT_EQ(rt.memory().read_i64(GAddr{9, off}), 110);
-  EXPECT_EQ(rt.memory().read_i64(GAddr{9, off + 8}), 20);
-  EXPECT_EQ(rt.memory().read_i64(GAddr{9, off + 24}), 40);
-}
-
-TEST(TypedAcc, Float32Accumulate) {
-  sim::Engine eng;
-  Runtime rt(eng, mfcg16());
-  const auto off = rt.memory().alloc_all(4 * 4);
-  rt.spawn(3, [off](Proc& p) -> sim::Co<void> {
-    const std::vector<float> v{1.5F, 2.5F, 3.5F, 4.5F};
-    co_await p.acc_f32(GAddr{12, off}, v, 2.0F);
-  });
-  rt.run_all();
-  float got = 0;
-  std::vector<std::uint8_t> raw(4);
-  rt.memory().read(raw, GAddr{12, off + 4});
-  std::memcpy(&got, raw.data(), 4);
-  EXPECT_FLOAT_EQ(got, 5.0F);
-}
-
-TEST(TypedAcc, ConcurrentMixedTypesOnDistinctCells) {
-  sim::Engine eng;
-  Runtime rt(eng, mfcg16());
-  const auto i_off = rt.memory().alloc_all(8);
-  const auto d_off = rt.memory().alloc_all(8);
-  rt.spawn_all([i_off, d_off](Proc& p) -> sim::Co<void> {
-    const std::vector<std::int64_t> one_i{1};
-    const std::vector<double> one_d{1.0};
-    co_await p.acc_i64(GAddr{0, i_off}, one_i, 1);
-    co_await p.acc_f64(GAddr{0, d_off}, one_d, 1.0);
-  });
-  rt.run_all();
-  EXPECT_EQ(rt.memory().read_i64(GAddr{0, i_off}), rt.num_procs());
-  EXPECT_DOUBLE_EQ(rt.memory().read_f64(GAddr{0, d_off}),
-                   static_cast<double>(rt.num_procs()));
 }
 
 TEST(StridedN, ThreeLevelPutReconstructsCube) {
@@ -151,33 +102,6 @@ TEST(StridedN, StridedAccumulate) {
   EXPECT_DOUBLE_EQ(rt.memory().read_f64(GAddr{7, off + 64}), n);
   // The stride gap is untouched.
   EXPECT_DOUBLE_EQ(rt.memory().read_f64(GAddr{7, off + 40}), 0.0);
-}
-
-TEST(NbHandle, AggregatesMultipleOps) {
-  sim::Engine eng;
-  Runtime rt(eng, mfcg16());
-  const auto off = rt.memory().alloc_all(8192);
-  bool was_incomplete = false;
-  rt.spawn(2, [&, off](Proc& p) -> sim::Co<void> {
-    std::vector<std::uint8_t> a(256, 0xA1);
-    std::vector<double> d(16, 2.0);
-    NbHandle h;
-    const PutSeg seg{a, off};
-    h.add(p.nb_put_v(24, {&seg, 1}));
-    h.add(p.nb_acc_f64(GAddr{25, off + 1024}, d, 1.0));
-    std::vector<std::uint8_t> g(128, 0);
-    const GetSeg gseg{g, off};
-    h.add(p.nb_get_v(24, {&gseg, 1}));
-    was_incomplete = !h.test();
-    co_await h.wait();
-    EXPECT_TRUE(h.test());
-  });
-  rt.run_all();
-  EXPECT_TRUE(was_incomplete);
-  std::vector<std::uint8_t> back(1);
-  rt.memory().read(back, GAddr{24, off + 255});
-  EXPECT_EQ(back[0], 0xA1);
-  EXPECT_DOUBLE_EQ(rt.memory().read_f64(GAddr{25, off + 1024}), 2.0);
 }
 
 TEST(Allreduce, SumsAcrossAllProcs) {

@@ -226,39 +226,6 @@ TEST_P(OpsAcrossTopologies, IntraNodeOpsWork) {
   EXPECT_EQ(back[2], 9);
 }
 
-TEST_P(OpsAcrossTopologies, NonBlockingPutVOverlaps) {
-  sim::Engine eng;
-  Runtime rt(eng, small_config(GetParam()));
-  const auto off = rt.memory().alloc_all(4096);
-  bool done_before_wait = false;
-  rt.spawn(6, [&, off](Proc& p) -> sim::Co<void> {
-    std::vector<std::uint8_t> data(512, 0x5A);
-    const PutSeg seg{data, off};
-    auto fut = p.nb_put_v(29, {&seg, 1});
-    done_before_wait = fut.ready();
-    co_await p.compute(sim::ms(1));  // overlap window
-    co_await fut;
-  });
-  rt.run_all();
-  EXPECT_FALSE(done_before_wait);
-  std::vector<std::uint8_t> back(512);
-  rt.memory().read(back, GAddr{29, off});
-  EXPECT_EQ(back[511], 0x5A);
-}
-
-TEST_P(OpsAcrossTopologies, NonBlockingAccCompletes) {
-  sim::Engine eng;
-  Runtime rt(eng, small_config(GetParam()));
-  const auto off = rt.memory().alloc_all(8);
-  rt.spawn(6, [off](Proc& p) -> sim::Co<void> {
-    const std::vector<double> v{4.0};
-    auto fut = p.nb_acc_f64(GAddr{27, off}, v, 0.25);
-    co_await fut;
-  });
-  rt.run_all();
-  EXPECT_DOUBLE_EQ(rt.memory().read_f64(GAddr{27, off}), 1.0);
-}
-
 TEST_P(OpsAcrossTopologies, FenceAndComputeAdvanceTime) {
   sim::Engine eng;
   Runtime rt(eng, small_config(GetParam()));

@@ -130,32 +130,25 @@ TEST(LintMutation, C2ForwardPostsByRefClosureBeforeSleep) {
       "  co_await sim::Sleep(rt_->engine(), p.cht_forward_extra);\n");
 }
 
-TEST(LintMutation, C1NbGetBindsTemporaryToConstRefParam) {
-  // drive_get's segment list binds to the vector nb_get_v builds in the
-  // call; the frame outlives that full-expression.
-  expect_caught_by("C1", "src/armci/proc.cpp",
-                   "                        std::vector<GetSeg> segs, "
-                   "sim::Future<int> done) {\n"
-                   "  co_await self->scatter_get(target, std::move(segs));",
-                   "                        const std::vector<GetSeg>& segs, "
-                   "sim::Future<int> done) {\n"
-                   "  co_await self->scatter_get(target, segs);");
+TEST(LintMutation, C1ForwardBindsMovedRequestToConstRefParam) {
+  // Cht::handle spawns forward(std::move(r)) and returns: a forward
+  // parked on a credit would read the request through handle's
+  // destroyed frame.
+  expect_caught_by("C1", "src/armci/cht.cpp",
+                   "sim::Co<void> Cht::forward(RequestPtr r) {",
+                   "sim::Co<void> Cht::forward(const RequestPtr& r) {");
 }
 
-TEST(LintMutation, C1NbGetSpawnsClosureInvokedInPlace) {
+TEST(LintMutation, C1ReconfigMonitorClosureInvokedInPlace) {
   // By-value captures dangle too: the closure is the temporary, and the
-  // frame reads v and done through it after nb_get_v returns.
+  // frame reads rtp and spec through it after its first Sleep.
   expect_caught_by(
-      "C1", "src/armci/proc.cpp",
-      "  rt_->spawn_task(drive_get(\n"
-      "      this, target, std::vector<GetSeg>(segs.begin(), segs.end()), "
-      "done));\n",
-      "  rt_->spawn_task([this, target, done,\n"
-      "                   v = std::vector<GetSeg>(segs.begin(), segs.end())]"
-      "() mutable\n"
-      "                      -> sim::Co<void> {\n"
-      "    co_await scatter_get(target, std::move(v));\n"
-      "    done.set(0);\n"
+      "C1", "src/workloads/common.hpp",
+      "  rt.spawn_task(detail::reconfig_monitor(&rt, *cl.reconfigure));\n",
+      "  armci::Runtime* const rtp = &rt;\n"
+      "  rt.spawn_task([rtp, spec = *cl.reconfigure]() -> sim::Co<void> {\n"
+      "    co_await sim::Sleep(rtp->engine(), sim::ms(spec.at_ms));\n"
+      "    co_await rtp->reconfigure(spec.to, spec.mode);\n"
       "  }());\n");
 }
 

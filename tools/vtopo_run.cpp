@@ -25,11 +25,14 @@
 //             service: job mix scheduled onto one shared torus; see
 //             docs/service.md for the job-mix grammar)
 //
-// Unknown keys are rejected; every key has a sensible default.
+// Unknown keys, values that do not parse in full and unknown names are
+// rejected with exit status 2; every key has a sensible default.
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <set>
 #include <string>
@@ -52,6 +55,33 @@
 using namespace vtopo;
 
 namespace {
+
+[[noreturn]] void bad_value(const std::string& key, const std::string& v,
+                            const char* expected) {
+  std::fprintf(stderr, "bad value '%s' for key '%s' (expected %s)\n",
+               v.c_str(), key.c_str(), expected);
+  std::exit(2);
+}
+
+/// `v` parsed in full as an integer, or exit 2 naming `key`.
+std::int64_t parse_int(const std::string& key, const std::string& v) {
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(v.c_str(), &end, 10);
+  if (v.empty() || *end != '\0' || errno != 0) {
+    bad_value(key, v, "an integer");
+  }
+  return n;
+}
+
+/// `v` parsed in full as a real number, or exit 2 naming `key`.
+double parse_real(const std::string& key, const std::string& v) {
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(v.c_str(), &end);
+  if (v.empty() || *end != '\0' || errno != 0) bad_value(key, v, "a number");
+  return x;
+}
 
 class KvArgs {
  public:
@@ -76,12 +106,12 @@ class KvArgs {
   std::int64_t num(const std::string& key, std::int64_t dflt) {
     used_.insert(key);
     const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::stoll(it->second);
+    return it == kv_.end() ? dflt : parse_int(key, it->second);
   }
   double real(const std::string& key, double dflt) {
     used_.insert(key);
     const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::stod(it->second);
+    return it == kv_.end() ? dflt : parse_real(key, it->second);
   }
   /// Call after all reads: any unread key is a typo.
   void reject_unknown() const {
@@ -199,19 +229,19 @@ std::vector<svc::JobSpec> parse_job_mix(const std::string& mix) {
         const std::string k = kv.substr(0, eq);
         const std::string v = kv.substr(eq + 1);
         if (k == "nodes") {
-          spec.nodes = std::stoll(v);
+          spec.nodes = parse_int(k, v);
         } else if (k == "ppn") {
-          spec.procs_per_node = static_cast<int>(std::stoll(v));
+          spec.procs_per_node = static_cast<int>(parse_int(k, v));
         } else if (k == "prio") {
-          spec.priority = static_cast<int>(std::stoll(v));
+          spec.priority = static_cast<int>(parse_int(k, v));
         } else if (k == "at") {
-          spec.submit_at = std::stoll(v);
+          spec.submit_at = parse_int(k, v);
         } else if (k == "ops") {
-          spec.ops = std::stoll(v);
+          spec.ops = parse_int(k, v);
         } else if (k == "topo") {
           spec.topology = parse_topology(v);
         } else if (k == "seed") {
-          spec.seed = static_cast<std::uint64_t>(std::stoll(v));
+          spec.seed = static_cast<std::uint64_t>(parse_int(k, v));
         } else if (k == "name") {
           spec.name = v;
         } else {
@@ -285,9 +315,7 @@ int run_service(KvArgs& args, const std::string& mix) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   KvArgs args(argc, argv);
   const std::string service_mix = args.str("service", "");
   if (!service_mix.empty()) return run_service(args, service_mix);
@@ -315,12 +343,24 @@ int main(int argc, char** argv) {
   const double budget_mb = args.real("budget", 256.0);
   cl.policy = parse_policy(args.str("policy", "ldf"));
   cl.seed = static_cast<std::uint64_t>(args.num("seed", 42));
-  if (args.str("machine", "xt5") == "bgp") cl.net = net::bgp_params();
+  const std::string machine = args.str("machine", "xt5");
+  if (machine == "bgp") {
+    cl.net = net::bgp_params();
+  } else if (machine != "xt5") {
+    std::fprintf(stderr, "unknown machine '%s' (xt5|bgp)\n",
+                 machine.c_str());
+    return 2;
+  }
   cl.net.stream_table_size =
       static_cast<int>(args.num("table", cl.net.stream_table_size));
-  cl.placement = args.str("placement", "linear") == "random"
-                     ? net::Placement::kRandom
-                     : net::Placement::kLinear;
+  const std::string placement = args.str("placement", "linear");
+  if (placement == "random") {
+    cl.placement = net::Placement::kRandom;
+  } else if (placement != "linear") {
+    std::fprintf(stderr, "unknown placement '%s' (linear|random)\n",
+                 placement.c_str());
+    return 2;
+  }
   const auto iters = static_cast<int>(args.num("iters", 5));
 
   // backend=sim (default, deterministic) | threads (one std::thread per
@@ -399,9 +439,14 @@ int main(int argc, char** argv) {
     work::ReconfigSpec spec;
     spec.to = parse_topology(reconf);
     spec.at_ms = reconf_at;
-    spec.mode = reconf_mode == "rebuild"
-                    ? armci::ReconfigMode::kRebuild
-                    : armci::ReconfigMode::kIncremental;
+    if (reconf_mode == "rebuild") {
+      spec.mode = armci::ReconfigMode::kRebuild;
+    } else if (reconf_mode != "incremental") {
+      std::fprintf(stderr,
+                   "unknown reconfig_mode '%s' (incremental|rebuild)\n",
+                   reconf_mode.c_str());
+      return 2;
+    }
     cl.reconfigure = spec;
   }
 
@@ -409,9 +454,15 @@ int main(int argc, char** argv) {
     work::ContentionConfig cc;
     cc.iterations = iters;
     const std::string op = args.str("op", "vput");
-    cc.op = op == "fetchadd" ? work::ContentionConfig::Op::kFetchAdd
-            : op == "vget"   ? work::ContentionConfig::Op::kVectorGet
-                             : work::ContentionConfig::Op::kVectorPut;
+    if (op == "fetchadd") {
+      cc.op = work::ContentionConfig::Op::kFetchAdd;
+    } else if (op == "vget") {
+      cc.op = work::ContentionConfig::Op::kVectorGet;
+    } else if (op != "vput") {
+      std::fprintf(stderr, "unknown op '%s' (vput|vget|fetchadd)\n",
+                   op.c_str());
+      return 2;
+    }
     const std::int64_t pct = args.num("contention", 0);
     cc.contender_stride = pct == 0 ? 0 : pct >= 20 ? 5 : 9;
     args.reject_unknown();
@@ -542,4 +593,15 @@ int main(int argc, char** argv) {
               res.checksum);
   print_stats(res.stats);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "vtopo_run: %s\n", e.what());
+    return 2;
+  }
 }
